@@ -55,7 +55,7 @@ def run(cfg: SweepConfig) -> int:
         if cfg.out_dir is not None:
             cfg.out_dir.mkdir(parents=True, exist_ok=True)
             path = cfg.out_dir / f"cancel_k{k}_n{n}.json"
-            path.write_text(report_json(rep) + "\n")
+            path.write_text(report_json(rep))
             print(f"    wrote {path}")
     return 1 if incomplete else 0
 

@@ -6,167 +6,35 @@ independent ways, codimension classification of its factors, and
 certified cancellation of every codimension-one pole across the
 diagram sum at fixed (k, n).  All arithmetic is exact: Fractions,
 bitmask matroids and a small hand-rolled polynomial ring.
+
+The names below are the documented entry points; everything else
+imports from its submodule (``wlpoles.exact``, ``wlpoles.matroids``, ...).
 """
 
-from .cancel import (
-    AmplitudeReport,
-    CancellationGroup,
-    ExcludedFactor,
-    GroupMember,
-    amplitude_report,
-    assignment_to_json,
-    classify,
-    consecutive_base,
-    localize,
-    partners,
-    verify_group,
-)
-from .diagrams import (
-    AdmissibilityVerdict,
-    Propagator,
-    WilsonLoopDiagram,
-    crossing,
-    cyc,
-    edge_order,
-    enumerate_diagrams,
-    is_admissible,
-    propagator_flat,
-    props_on,
-    validate,
-    valid_propagators,
-    vertex_support,
-)
+from .cancel import amplitude_report, classify, partners, verify_group
+from .diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
-from .exact import Factorization, Polynomial, VarId, mat_det, mat_rank, poly_det, structured_factorize
-from .matrices import SymbolicMatrix, jacobian_det, matrix_from_sets
-from .matroids import (
-    FlatReport,
-    Matroid,
-    MatrixMatroid,
-    PositroidVerdict,
-    TransversalMatroid,
-    is_cyclic_interval,
-    is_positroid,
-    structure,
-)
-from .poles import (
-    BoundaryNoPoleCertificate,
-    BoundaryWitness,
-    PoleFactor,
-    REqualityReport,
-    RPolynomial,
-    boundary_without_pole,
-    check_r_equalities,
-    factor_codim,
-    limit_rows,
-    pole_quad,
-    pole_var,
-    quad_geometry,
-    r_poly_edge,
-    r_poly_necklace,
-    r_poly_reverse,
-    span_growth,
-    vanish_on_boundary_witness,
-)
-from .positroids import (
-    BoundaryEvidence,
-    CellDescriptor,
-    MinimalityReport,
-    cell_descriptor,
-    diagram_cell,
-    diagram_matrix,
-    diagram_matroid,
-    gale_leq,
-    gale_sorted,
-    is_boundary_of,
-    is_minimal,
-    necklace,
-    necklace_minors,
-    reverse_necklace,
-)
-from .sampling import TwistorData, rand_fraction, seeded_rng, twistor_data
+from .poles import PoleFactor, check_r_equalities, factor_codim, r_poly_edge
+from .positroids import diagram_cell, diagram_matroid, necklace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityVerdict",
-    "AmplitudeReport",
-    "BoundaryEvidence",
-    "BoundaryNoPoleCertificate",
-    "BoundaryWitness",
-    "CancellationGroup",
-    "CellDescriptor",
-    "ExcludedFactor",
-    "Factorization",
-    "FlatReport",
-    "GroupMember",
     "InconsistencyError",
-    "Matroid",
-    "MatrixMatroid",
-    "MinimalityReport",
     "PoleFactor",
-    "Polynomial",
-    "PositroidVerdict",
     "Propagator",
-    "REqualityReport",
-    "RPolynomial",
     "StructuralError",
-    "SymbolicMatrix",
-    "TransversalMatroid",
-    "TwistorData",
     "UnstructuredResidualError",
-    "VarId",
     "WilsonLoopDiagram",
     "amplitude_report",
-    "assignment_to_json",
-    "boundary_without_pole",
-    "cell_descriptor",
     "check_r_equalities",
     "classify",
-    "consecutive_base",
-    "crossing",
-    "cyc",
     "diagram_cell",
-    "diagram_matrix",
     "diagram_matroid",
-    "edge_order",
     "enumerate_diagrams",
     "factor_codim",
-    "gale_leq",
-    "gale_sorted",
-    "is_admissible",
-    "is_boundary_of",
-    "is_cyclic_interval",
-    "is_minimal",
-    "is_positroid",
-    "jacobian_det",
-    "limit_rows",
-    "localize",
-    "mat_det",
-    "mat_rank",
-    "matrix_from_sets",
     "necklace",
-    "necklace_minors",
     "partners",
-    "pole_quad",
-    "pole_var",
-    "poly_det",
-    "propagator_flat",
-    "props_on",
-    "quad_geometry",
     "r_poly_edge",
-    "r_poly_necklace",
-    "r_poly_reverse",
-    "rand_fraction",
-    "reverse_necklace",
-    "seeded_rng",
-    "span_growth",
-    "structure",
-    "structured_factorize",
-    "twistor_data",
-    "valid_propagators",
-    "validate",
-    "vanish_on_boundary_witness",
     "verify_group",
-    "vertex_support",
 ]

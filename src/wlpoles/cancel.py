@@ -87,10 +87,6 @@ def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
     return out
 
 
-def assignment_to_json(assignment: dict[VarId, Fraction]) -> dict[str, str]:
-    return {f"{v.row},{v.col}": str(assignment[v]) for v in sorted(assignment)}
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -430,9 +426,7 @@ def _member_limit(m: GroupMember) -> tuple[Matroid, tuple[frozenset[int], ...]]:
 
 
 def _group_base(g: CancellationGroup) -> GroupMember:
-    if g.kind == "pair":
-        return g.members[0]
-    if g.kind == "wide":
+    if g.kind in ("pair", "wide"):
         return g.members[0]
     return next(m for m in g.members if m.factor.kind == "quad")
 
@@ -542,6 +536,8 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     limit points give identical row spaces, and pairs satisfy the exact
     localization sign identity on fresh twistor data.
     """
+    if trials < 1:
+        raise StructuralError(f"verify_group needs at least one trial, got {trials}")
     checks: list[tuple[str, bool]] = []
     failures: list[str] = []
     key = "|".join(g.key())

@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cancel import amplitude_report
+from .cancel import amplitude_report, diagram_token
 from .diagrams import WilsonLoopDiagram, enumerate_diagrams, validate
 from .errors import InconsistencyError, StructuralError
 from .matroids import TransversalMatroid, structure
@@ -35,10 +35,6 @@ class RunConfig:
     format: str
     force: bool
     path: str | None = None
-
-
-def _diagram_token(W: WilsonLoopDiagram) -> str:
-    return ";".join(f"{p.e1}-{p.e2}" for p in W.props) or "0"
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -68,7 +64,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         lines = ["index,k,n,seed,trials,diagram"]
         for i, W in enumerate(diagrams):
-            lines.append(f"{i},{cfg.k},{cfg.n},{cfg.seed},{cfg.trials},{_diagram_token(W)}")
+            lines.append(f"{i},{cfg.k},{cfg.n},{cfg.seed},{cfg.trials},{diagram_token(W)}")
         _emit(cfg, "\n".join(lines) + "\n")
     elif cfg.format == "text":
         lines = [f"k={cfg.k} n={cfg.n} seed={cfg.seed} trials={cfg.trials} count={len(diagrams)}"]
@@ -237,7 +233,7 @@ def cmd_cancel(cfg: RunConfig) -> int:
             members = " ".join(m.token() for m in g.members)
             lines.append(f"case={g.case} kind={g.kind} verified={g.verified} {members}")
         for x in report.excluded:
-            lines.append(f"excluded case={x.case} {_diagram_token(x.diagram)}/{x.factor.label()}")
+            lines.append(f"excluded case={x.case} {diagram_token(x.diagram)}/{x.factor.label()}")
         lines.extend(f"failure: {msg}" for msg in report.failures)
         _emit(cfg, "\n".join(lines) + "\n")
     else:
@@ -245,6 +241,13 @@ def cmd_cancel(cfg: RunConfig) -> int:
         payload["command"] = "cancel"
         _emit(cfg, _dump(payload))
     return 0 if report.status == "complete" else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -259,7 +262,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("-k", type=int, required=True, help="number of propagators")
             p.add_argument("-n", type=int, required=True, help="number of boundary vertices")
         p.add_argument("--seed", type=int, default=0, help="master seed for all sampling")
-        p.add_argument("--trials", type=int, default=10, help="sampled checks per certificate")
+        p.add_argument("--trials", type=_positive_int, default=10, help="sampled checks per certificate")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--force", action="store_true", help="lift the n cap")

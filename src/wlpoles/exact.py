@@ -232,11 +232,6 @@ class Polynomial:
                 seen.add(var)
         return seen
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
-
     def leading(self) -> tuple[Mono, Fraction]:
         """Leading (monomial, coefficient) in lex order."""
         if not self.terms:
@@ -284,22 +279,6 @@ class Polynomial:
                 val *= Fraction(assignment[var]) ** exp
             total += val
         return total
-
-    def substitute(self, mapping: Mapping[VarId, "Polynomial | Scalar"]) -> "Polynomial":
-        """Replace variables by polynomials (or scalars); others stay."""
-        result = Polynomial.zero()
-        for mono, coef in self.terms.items():
-            term = Polynomial.constant(coef)
-            for var, exp in mono:
-                if var in mapping:
-                    rep = mapping[var]
-                    if not isinstance(rep, Polynomial):
-                        rep = Polynomial.constant(rep)
-                    term = term * rep**exp
-                else:
-                    term = term * Polynomial.variable(var) ** exp
-            result = result + term
-        return result
 
     def div_exact(self, divisor: "Polynomial") -> "Polynomial | None":
         """Return self / divisor if the division is exact, else None."""
@@ -374,11 +353,6 @@ class Factorization:
     cross_factors: tuple[tuple[tuple[int, int, int, int], int], ...]
     residual: Fraction
     ok: bool
-
-    def factor_count(self) -> int:
-        return sum(m for _, m in self.var_factors) + sum(
-            m for _, m in self.cross_factors
-        )
 
 
 def structured_factorize(poly: Polynomial, strict: bool = False) -> Factorization:

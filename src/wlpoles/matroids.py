@@ -186,13 +186,6 @@ class Matroid:
                 out.append(f)
         return out
 
-    def same_matroid(self, other: "Matroid") -> bool:
-        return (
-            self.ground_mask == other.ground_mask
-            and self.n == other.n
-            and self.bases() == other.bases()
-        )
-
 
 class TransversalMatroid(Matroid):
     """Matroid of a set system; rank by maximum bipartite matching."""

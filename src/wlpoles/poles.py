@@ -10,6 +10,7 @@ and certifies boundary cells that no factor vanishes on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -40,7 +41,6 @@ from .sampling import rand_fraction, seeded_rng
 
 CODIM_ONE = "1"
 CODIM_GE2 = ">=2"
-CODIM_UNKNOWN = "unknown"
 
 EDGE_FORMULA = "edge-formula"
 NECKLACE_RADICAL = "necklace-radical"
@@ -51,15 +51,14 @@ REVERSE_NECKLACE_RADICAL = "reverse-necklace-radical"
 class PoleFactor:
     """One prime factor of R: a single entry or a 2x2 adjacent-pair minor.
 
-    Identity is (kind, rows, cols); the originating edge and the codim
-    tag are bookkeeping and excluded from comparison.
+    Identity is (kind, rows, cols); the originating edge is bookkeeping
+    and excluded from comparison.
     """
 
     kind: str
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     edge: int | None = field(default=None, compare=False)
-    codim: str = field(default=CODIM_UNKNOWN, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == "var":
@@ -123,16 +122,10 @@ class RPolynomial:
     def factor_set(self) -> frozenset[PoleFactor]:
         return frozenset(self.factors)
 
-    def __len__(self) -> int:
-        return len(self.factors)
 
-    def to_json(self) -> dict:
-        return {
-            "factors": [f.to_json() for f in self.factors],
-            "provenance": self.provenance,
-        }
-
-
+# Bounded: the guards revisit one diagram and its few partners at a time,
+# and a memo over every diagram of a run grows peak RSS past its budget.
+@functools.lru_cache(maxsize=16)
 def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
     """Per-edge product form of R.
 
@@ -168,56 +161,47 @@ def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
     return RPolynomial(factors=factors, provenance=EDGE_FORMULA)
 
 
-def _radical_factors(
-    V: Sequence[frozenset[int]], n: int, entries: Sequence[Sequence[int]]
-) -> set[PoleFactor]:
-    M = SymbolicMatrix(n=n, supports=tuple(V))
+def _factor_keys(poly: Polynomial) -> frozenset[PoleFactor]:
+    fz = structured_factorize(poly, strict=True)
     out: set[PoleFactor] = set()
-    for I_a in entries:
-        minor = M.minor(list(range(1, len(V) + 1)), sorted(I_a))
-        if minor.is_zero():
-            raise InconsistencyError(f"necklace entry {I_a} is not a basis")
-        fz = structured_factorize(minor, strict=True)
-        for vid, _ in fz.var_factors:
-            out.add(pole_var(vid.row, vid.col))
-        for (a, b, i, j), _ in fz.cross_factors:
-            out.add(pole_quad(a, b, i, j))
-    return out
+    for vid, _ in fz.var_factors:
+        out.add(pole_var(vid.row, vid.col))
+    for (a, b, i, j), _ in fz.cross_factors:
+        out.add(pole_quad(a, b, i, j))
+    return frozenset(out)
 
 
-def _as_set_system(V: Sequence, n: int | None) -> tuple[tuple[frozenset[int], ...], int]:
+def _r_poly_radical(V: Sequence, n: int | None, scan, provenance: str) -> RPolynomial:
+    """Distinct prime factors of the minors on the bases ``scan`` picks."""
     rows = tuple(frozenset(r) for r in V)
     if not rows or any(not r for r in rows):
         raise StructuralError("set system needs nonempty rows")
     if n is None:
         n = max(max(r) for r in rows)
-    return rows, n
+    M = TransversalMatroid(n, rows)
+    if M.k != len(rows):
+        raise StructuralError(f"set system has rank {M.k}, expected {len(rows)}")
+    S = SymbolicMatrix(n=n, supports=rows)
+    out: set[PoleFactor] = set()
+    for I_a in scan(M):
+        minor = S.minor(list(range(1, len(rows) + 1)), sorted(I_a))
+        if minor.is_zero():
+            raise InconsistencyError(f"necklace entry {I_a} is not a basis")
+        out |= _factor_keys(minor)
+    return RPolynomial(
+        factors=tuple(sorted(out, key=PoleFactor.sort_key)),
+        provenance=provenance,
+    )
 
 
 def r_poly_necklace(V: Sequence, n: int | None = None) -> RPolynomial:
     """Distinct prime factors of the necklace minors of V."""
-    rows, n = _as_set_system(V, n)
-    M = TransversalMatroid(n, rows)
-    if M.k != len(rows):
-        raise StructuralError(f"set system has rank {M.k}, expected {len(rows)}")
-    out = _radical_factors(rows, n, necklace(M))
-    return RPolynomial(
-        factors=tuple(sorted(out, key=PoleFactor.sort_key)),
-        provenance=NECKLACE_RADICAL,
-    )
+    return _r_poly_radical(V, n, necklace, NECKLACE_RADICAL)
 
 
 def r_poly_reverse(V: Sequence, n: int | None = None) -> RPolynomial:
     """Distinct prime factors of the reverse-necklace minors of V."""
-    rows, n = _as_set_system(V, n)
-    M = TransversalMatroid(n, rows)
-    if M.k != len(rows):
-        raise StructuralError(f"set system has rank {M.k}, expected {len(rows)}")
-    out = _radical_factors(rows, n, reverse_necklace(M))
-    return RPolynomial(
-        factors=tuple(sorted(out, key=PoleFactor.sort_key)),
-        provenance=REVERSE_NECKLACE_RADICAL,
-    )
+    return _r_poly_radical(V, n, reverse_necklace, REVERSE_NECKLACE_RADICAL)
 
 
 @dataclass(frozen=True)
@@ -358,9 +342,8 @@ def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
         row, col = f.rows[0], f.cols[0]
         reduced = [set(V) for V in supports]
         reduced[row - 1].discard(col)
-        rank_kept = TransversalMatroid(n, [frozenset(r) for r in reduced]).k == k
         report = is_minimal(reduced, n)
-        one = rank_kept and report.minimal and report.dimension == 3 * k - 1
+        one = report.minimal and report.dimension == 3 * k - 1
         return CODIM_ONE if one else CODIM_GE2
 
     e, near, far_p, j_far, k_far = quad_geometry(W, f)
@@ -609,13 +592,3 @@ def boundary_without_pole(W: WilsonLoopDiagram) -> list[BoundaryNoPoleCertificat
                 v=v, w=w, checks=tuple(checks), implication=implication,
             ))
     return certs
-
-
-def _factor_keys(poly: Polynomial) -> frozenset[PoleFactor]:
-    fz = structured_factorize(poly, strict=True)
-    out: set[PoleFactor] = set()
-    for vid, _ in fz.var_factors:
-        out.add(pole_var(vid.row, vid.col))
-    for (a, b, i, j), _ in fz.cross_factors:
-        out.add(pole_quad(a, b, i, j))
-    return frozenset(out)

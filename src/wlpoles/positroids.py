@@ -41,11 +41,8 @@ def gale_leq(A: Iterable[int], B: Iterable[int], a: int, n: int) -> bool:
     )
 
 
-def necklace(M: Matroid) -> list[tuple[int, ...]]:
-    """Gale-minimal basis for each shift, by greedy rank-increasing scan.
-
-    Entry a-1 of the result is I_a, listed in the a-shifted order.
-    """
+def _greedy_bases(M: Matroid, start: int, step: int) -> list[list[int]]:
+    """For each shift a, the greedy basis scanning from a + start by step."""
     n = M.n
     k = M.k
     if k == 0:
@@ -56,7 +53,7 @@ def necklace(M: Matroid) -> list[tuple[int, ...]]:
         mask = 0
         r = 0
         for t in range(n):
-            v = cyc(a + t, n)
+            v = cyc(a + start + step * t, n)
             m = mask | (1 << (v - 1))
             if M.rank_mask(m) > r:
                 chosen.append(v)
@@ -64,8 +61,16 @@ def necklace(M: Matroid) -> list[tuple[int, ...]]:
                 r += 1
                 if r == k:
                     break
-        out.append(tuple(chosen))
+        out.append(chosen)
     return out
+
+
+def necklace(M: Matroid) -> list[tuple[int, ...]]:
+    """Gale-minimal basis for each shift, by greedy rank-increasing scan.
+
+    Entry a-1 of the result is I_a, listed in the a-shifted order.
+    """
+    return [tuple(chosen) for chosen in _greedy_bases(M, 0, 1)]
 
 
 def reverse_necklace(M: Matroid) -> list[tuple[int, ...]]:
@@ -75,26 +80,7 @@ def reverse_necklace(M: Matroid) -> list[tuple[int, ...]]:
     a-shifted order) and walks down; the result is re-listed in the
     a-shifted order for presentation.
     """
-    n = M.n
-    k = M.k
-    if k == 0:
-        raise StructuralError("reverse necklace of a rank-0 matroid")
-    out = []
-    for a in range(1, n + 1):
-        chosen: list[int] = []
-        mask = 0
-        r = 0
-        for t in range(n):
-            v = cyc(a - 1 - t, n)
-            m = mask | (1 << (v - 1))
-            if M.rank_mask(m) > r:
-                chosen.append(v)
-                mask = m
-                r += 1
-                if r == k:
-                    break
-        out.append(tuple(reversed(chosen)))
-    return out
+    return [tuple(reversed(chosen)) for chosen in _greedy_bases(M, -1, -1)]
 
 
 def necklace_minors(

@@ -14,7 +14,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import StructuralError
 from .exact import mat_det

@@ -7,6 +7,7 @@ Run with -s to see the lines; under plain pytest the per-test
 PASSED/FAILED row carries the same information.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from wlpoles.cancel import (
     diagram_token,
     localize,
     partners,
+    report_json,
 )
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from wlpoles.exact import Polynomial, VarId
@@ -40,6 +42,15 @@ from wlpoles.sampling import twistor_data
 V1 = [{1, 2, 4, 5}, {1, 2, 3, 4}]
 V2 = [{1, 2, 4, 5}, {2, 3, 4, 5}]
 W42 = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(1, 5)))
+
+# sha256 of report_json at seed 0, 10 trials: the certificate bytes
+REPORT_SHA256 = {
+    (1, 5): "4f0a96e693560b65818ce84601de7a7e4dd03709d65b34847ac94d6effe9fdd5",
+    (1, 6): "9997676f5617e5efb497ea21555168ce4ceee08b00c9ee81dd98a250c759b42a",
+    (1, 7): "51cdc6a099320dd889150b8ef36a04df5f9cc5dabb34c75786702344a2f7c2ce",
+    (2, 6): "2ba0561e44d4ec5239668616f020d79cae1da358af84c3adbbc0179dde427f2f",
+    (2, 7): "0382023fd42f6f6c4097f5d56404bbbfae42218365fce7f7b68d4f36e9c4c01c",
+}
 
 SWEEP_SHAPES = [(1, 5), (1, 6), (1, 7), (1, 8), (2, 6), (2, 7), (2, 8)]
 
@@ -147,9 +158,10 @@ def test_criterion_07_localization_sign_identity():
 
 def test_criterion_08_cancellation_partition():
     t0 = time.perf_counter()
-    for k, n in ((1, 5), (1, 6), (1, 7), (2, 6), (2, 7)):
+    for (k, n), digest in REPORT_SHA256.items():
         rep = amplitude_report(k, n, seed=0, trials=10)
         assert rep.status == "complete", (k, n, rep.failures)
+        assert hashlib.sha256(report_json(rep).encode()).hexdigest() == digest, (k, n)
         assert all(g.verified for g in rep.groups)
 
         membership: dict[str, int] = {}

@@ -175,6 +175,13 @@ def test_verify_pair():
     assert g.boundary is not None
 
 
+def test_verify_rejects_zero_trials():
+    g = partners(W42, pole_var(1, 3))
+    for trials in (0, -1):
+        with pytest.raises(StructuralError):
+            verify_group(g, trials=trials)
+
+
 def test_verify_wide_triple():
     g = verify_group(partners(W42, pole_quad(1, 2, 1, 2)), trials=3, seed=1)
     assert g.verified and {n for n, _ in g.checks} == TRIPLE_CHECKS

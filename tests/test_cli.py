@@ -155,6 +155,14 @@ def test_byte_identical_runs(capsys):
     assert first == second
 
 
+def test_trials_below_one_rejected(capsys):
+    for trials in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["cancel", "-k", "1", "-n", "5", "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+
 def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

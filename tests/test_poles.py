@@ -88,8 +88,12 @@ def test_pole_factor_json_roundtrip():
 
 def test_r_poly_rejects_inadmissible():
     W = WilsonLoopDiagram(8, (Propagator.of(1, 3), Propagator.of(2, 4)))
-    with pytest.raises(StructuralError):
-        r_poly_edge(W)
+    for _ in range(2):
+        # r_poly_edge is memoized; a repeat call must still reject
+        with pytest.raises(StructuralError):
+            r_poly_edge(W)
+    twin = WilsonLoopDiagram(6, (Propagator.of(1, 5), Propagator.of(1, 3)))
+    assert r_poly_edge(twin).factor_set() == r_poly_edge(W42).factor_set()
 
 
 def test_limit_rows_shape():
