@@ -12,6 +12,7 @@ data.  ``amplitude_report`` runs the whole pipeline for fixed (k, n).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -527,6 +528,17 @@ def _row_space_trial(g: CancellationGroup, rng) -> None:
             raise InconsistencyError("members meet the boundary in different row spaces")
 
 
+@functools.lru_cache(maxsize=4)
+def sign_samples(k: int, n: int, seed: int, count: int) -> tuple[TwistorData, ...]:
+    """The positive twistor samples every pair group at (k, n) is checked on.
+
+    Drawn once per amplitude: the stream depends on (seed, k, n) only,
+    and each sample has passed the exhaustive ``check_positive``.
+    """
+    rng = seeded_rng(seed, "sign", k, n)
+    return tuple(twistor_data(k, n, seed=rng.randrange(1 << 30)) for _ in range(count))
+
+
 def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> CancellationGroup:
     """Run all certificates on a group and return it annotated.
 
@@ -534,7 +546,8 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     reverse necklace; pairs also literally share limit supports), the
     boundary cell has dimension 3k-1, the weights sum to zero, sampled
     limit points give identical row spaces, and pairs satisfy the exact
-    localization sign identity on fresh twistor data.
+    localization sign identity on every twistor sample of
+    :func:`sign_samples`, one set shared by all pairs of the amplitude.
     """
     if trials < 1:
         raise StructuralError(f"verify_group needs at least one trial, got {trials}")
@@ -615,10 +628,8 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
 
     if g.kind == "pair":
         sign_ok = True
-        rng = seeded_rng(seed, "sign", key)
         m1, m2 = g.members
-        for t in range(max(3, trials)):
-            Z = twistor_data(k, n, seed=rng.randrange(1 << 30))
+        for t, Z in enumerate(sign_samples(k, n, seed, max(3, trials))):
             a1 = localize(m1.diagram, Z)
             a2 = localize(m2.diagram, Z)
             v1 = a1[VarId(m1.factor.rows[0], m1.factor.cols[0])]
@@ -731,7 +742,11 @@ def amplitude_report(k: int, n: int, seed: int = 0, trials: int = 10) -> Amplitu
             if tag in (CASE1A, CASE3A):
                 failures.append(f"factor {f.label()} of {W} is case {tag} but codimension one")
                 continue
-            g = partners(W, f)
+            try:
+                g = partners(W, f)
+            except InconsistencyError as exc:
+                failures.append(f"no partner group for factor {f.label()} of {W}: {exc}")
+                continue
             gkey = g.key()
             mkey = _entry_key((W, f))
             if mkey in assignments:

@@ -15,12 +15,19 @@ Monomials are compared in lexicographic order with the *smallest*
 single-divisor long division a sound exactness test: division either
 runs to a zero remainder or the first non-divisible leading term
 proves the divisor is not a factor.
+
+The numeric kernels ``mat_det`` and ``mat_rank`` clear each row's
+denominators and run fraction-free integer elimination (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 1968), so no Fraction is built inside the
+elimination loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import UnstructuredResidualError
@@ -477,60 +484,68 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return expand(0, tuple(range(n)))
 
 
-def mat_rank(rows: Iterable[Sequence[Scalar]]) -> int:
-    """Rank of a matrix of Fractions by exact Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        pivot = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                pivot = r
-                break
+def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those lcms."""
+    out = []
+    scale = 1
+    for row in rows:
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    return out, scale
+
+
+def _bareiss(work: list[list[int]]) -> tuple[int, int, int]:
+    """Forward fraction-free elimination of an integer matrix, in place.
+
+    Returns (rank, last pivot, sign of the row swaps).  Each update
+    ``(p*x - a*y) // prev`` divides exactly, because every entry after
+    a step is a minor of the input (Sylvester's identity); for a square
+    matrix of full rank the last pivot is its determinant.
+    """
+    rank, prev, sign = 0, 1, 1
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
-            col += 1
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
+        prow = work[rank]
+        p = prow[col]
+        for r in range(rank + 1, len(work)):
+            row = work[r]
+            a = row[col]
+            row[col + 1 :] = [
+                (p * x - a * y) // prev for x, y in zip(row[col + 1 :], prow[col + 1 :])
+            ]
+        prev = p
         rank += 1
-        col += 1
-    return rank
+        if rank == len(work):
+            break
+    return rank, prev, sign
+
+
+def mat_rank(rows: Iterable[Sequence[Scalar]]) -> int:
+    """Rank of a rational matrix by forward fraction-free (Bareiss) elimination.
+
+    Rows are first cleared of denominators; scaling a row does not
+    change the rank.
+    """
+    return _bareiss(_integer_rows(rows)[0])[0]
 
 
 def mat_det(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Determinant of a square Fraction matrix, Gaussian elimination."""
+    """Determinant of a square rational matrix, fraction-free (Bareiss).
+
+    Row ``i`` is scaled to integers by ``s_i``; the integer
+    determinant is the last Bareiss pivot, and the result divides it
+    by the product of the ``s_i``.
+    """
     n = len(rows)
-    work = [[Fraction(x) for x in row] for row in rows]
+    work, scale = _integer_rows(rows)
     for r in work:
         if len(r) != n:
             raise ValueError("determinant of a non-square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] * inv
-                work[r] = [
-                    a - factor * b for a, b in zip(work[r], work[col])
-                ]
-    return det
+    rank, pivot, sign = _bareiss(work)
+    return Fraction(sign * pivot, scale) if rank == n else Fraction(0)

@@ -1,9 +1,11 @@
 """Pole classification, partner groups, and the cancellation report."""
 
+import dataclasses
 import json
 
 import pytest
 
+import wlpoles.cancel
 from wlpoles.cancel import (
     amplitude_report,
     classify,
@@ -11,6 +13,7 @@ from wlpoles.cancel import (
     localize,
     partners,
     report_json,
+    sign_samples,
     verify_group,
 )
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram
@@ -182,6 +185,45 @@ def test_verify_rejects_zero_trials():
             verify_group(g, trials=trials)
 
 
+def test_sign_identity_fails_on_a_wrong_factor():
+    g = verify_group(partners(W42, pole_var(1, 3)), trials=3, seed=1)
+    assert g.verified
+    m = g.members[1]
+    row = m.diagram.props[m.factor.rows[0] - 1]
+    other = next(c for c in sorted(m.diagram.support(row)) if c != m.factor.cols[0])
+    wrong = dataclasses.replace(m, factor=pole_var(m.factor.rows[0], other))
+    bad = verify_group(dataclasses.replace(g, members=(g.members[0], wrong)), trials=3, seed=1)
+    assert dict(bad.checks)["sign_identity"] is False
+    assert not bad.verified
+    assert any(f.startswith("sign identity fails at twistor sample 0") for f in bad.failures)
+
+
+def test_sign_samples_drawn_once_per_amplitude(monkeypatch):
+    drawn, checked = [], []
+    draw, check = wlpoles.cancel.twistor_data, TwistorData.check_positive
+
+    def counted_draw(*args, **kwargs):
+        Z = draw(*args, **kwargs)
+        drawn.append(Z)
+        return Z
+
+    def counted_check(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(wlpoles.cancel, "twistor_data", counted_draw)
+    monkeypatch.setattr(TwistorData, "check_positive", counted_check)
+    sign_samples.cache_clear()
+    try:
+        rep = amplitude_report(2, 6, trials=10)
+    finally:
+        sign_samples.cache_clear()
+    assert rep.status == "complete"
+    assert sum(g.kind == "pair" for g in rep.groups) > 1
+    assert len(drawn) == 10
+    assert [id(Z) for Z in checked] == [id(Z) for Z in drawn]
+
+
 def test_verify_wide_triple():
     g = verify_group(partners(W42, pole_quad(1, 2, 1, 2)), trials=3, seed=1)
     assert g.verified and {n for n, _ in g.checks} == TRIPLE_CHECKS
@@ -211,6 +253,17 @@ def test_report_excludes_higher_codim_factors():
     assert {e.case for e in rep.excluded} == {"1a"}
     for e in rep.excluded[:4]:
         assert factor_codim(e.diagram, e.factor) == CODIM_GE2
+
+
+def test_report_k3_isolates_partner_failures():
+    rep = amplitude_report(3, 7, seed=0, trials=3)
+    assert rep.status == "incomplete"
+    assert len(rep.groups) == 238
+    assert all(g.verified for g in rep.groups)
+    assert len(rep.failures) == 84
+    first = "no partner group for factor var:1:4 of ({(1,3),(1,4),(1,5)},[7])"
+    assert rep.failures[0].startswith(first)
+    assert all(f.startswith("no partner group for factor ") for f in rep.failures)
 
 
 def test_report_json_schema():

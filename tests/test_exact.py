@@ -1,6 +1,7 @@
 """Polynomial ring, determinants and structured factorization."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,141 @@ def test_mat_rank_basic():
     assert mat_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert mat_rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
     assert mat_rank([]) == 0
+
+
+# Reference kernels: plain Fraction Gaussian elimination, against which the
+# fraction-free Bareiss kernels in wlpoles.exact are checked.
+
+
+def _fraction_rank(rows):
+    work = [[Fraction(x) for x in row] for row in rows]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    rank = 0
+    col = 0
+    while rank < len(work) and col < ncols:
+        pivot = None
+        for r in range(rank, len(work)):
+            if work[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            col += 1
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _fraction_det(rows):
+    n = len(rows)
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = None
+        for r in range(col, n):
+            if work[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        inv = 1 / work[col][col]
+        for r in range(col + 1, n):
+            if work[r][col]:
+                factor = work[r][col] * inv
+                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
+    return det
+
+
+def _rand_rational(rng):
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _rand_matrix(rng, nrows, ncols):
+    return [[_rand_rational(rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _matrix_families(rng):
+    """Tall, wide, rank-deficient and zero-row rational matrices.
+
+    Yields (matrix, deficient); a deficient matrix has more columns than
+    independent rows, so its rank is below its row count.
+    """
+    yield _rand_matrix(rng, rng.randint(4, 7), rng.randint(1, 3)), False
+    yield _rand_matrix(rng, rng.randint(1, 3), rng.randint(4, 7)), False
+    r = rng.randint(2, 5)
+    m = _rand_matrix(rng, r, rng.randint(r + 1, 7))
+    i, j = rng.sample(range(r), 2)
+    m.insert(rng.randint(0, r), [a + b for a, b in zip(m[i], m[j])])
+    yield m, True
+    r = rng.randint(2, 5)
+    m = _rand_matrix(rng, r, rng.randint(r + 1, 7))
+    m.insert(rng.randint(0, r), [Fraction(0)] * len(m[0]))
+    yield m, True
+
+
+def test_mat_rank_matches_fraction_elimination():
+    rng = random.Random(20260)
+    for _ in range(60):
+        for m, deficient in _matrix_families(rng):
+            expected = _fraction_rank(m)
+            assert mat_rank([row[:] for row in m]) == expected
+            if deficient:
+                assert expected < len(m)
+
+
+def test_mat_rank_accepts_ints_and_zero_columns():
+    assert mat_rank([[0, 0, 1], [0, 0, 2], [0, 3, 0]]) == 2
+    assert mat_rank([[0, 0], [0, 0]]) == 0
+    assert mat_rank(iter([[1, Fraction(1, 2)], [2, 1]])) == 1
+
+
+def test_mat_det_empty_is_one():
+    assert mat_det([]) == 1
+
+
+def test_mat_det_singular():
+    rng = random.Random(7)
+    for n in range(1, 7):
+        m = _rand_matrix(rng, n, n)
+        m[rng.randrange(n)] = [Fraction(0)] * n
+        assert mat_det(m) == 0
+        if n >= 3:
+            m = _rand_matrix(rng, n - 1, n)
+            m.append([a - 2 * b for a, b in zip(m[0], m[1])])
+            assert mat_det(m) == 0 == _fraction_det(m)
+
+
+def test_mat_det_row_swaps():
+    assert mat_det([[0, 1], [1, 0]]) == -1
+    assert mat_det([[0, 0, Fraction(1, 3)], [0, 2, 5], [Fraction(3, 2), 1, 1]]) == -1
+    m = [[0, Fraction(2, 3), 1, 0], [0, 0, 4, 1], [Fraction(-1, 5), 1, 0, 2], [1, 1, 1, 1]]
+    assert mat_det(m) == _fraction_det(m) != 0
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        m = _rand_matrix(rng, n, n)
+        m[0][0] = Fraction(0)
+        assert mat_det([row[:] for row in m]) == _fraction_det(m)
+
+
+def test_mat_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        mat_det([[1, 2, 3], [4, 5, 6]])
 
 
 def test_structured_factorize_recomposes():
