@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from wlpoles.cancel import amplitude_report, report_json
+from wlpoles.cli import positive_int
 
 
 @dataclass
@@ -28,10 +29,16 @@ class SweepConfig:
 
 
 def parse_shapes(arg: str) -> list[tuple[int, int]]:
+    """Argparse type for comma-separated k:n pairs that have a diagram."""
     shapes = []
     for part in arg.split(","):
-        k, n = part.split(":")
-        shapes.append((int(k), int(n)))
+        try:
+            k, n = (int(x) for x in part.split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} is not a k:n pair") from None
+        if k < 0 or n < k + 4:
+            raise argparse.ArgumentTypeError(f"no admissible diagram at (k, n) = ({k}, {n})")
+        shapes.append((k, n))
     return shapes
 
 
@@ -64,15 +71,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
         "--shapes",
+        type=parse_shapes,
         default="1:5,1:6,1:7,2:6,2:7",
         help="comma-separated k:n pairs",
     )
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--trials", type=int, default=10)
+    ap.add_argument("--trials", type=positive_int, default=10)
     ap.add_argument("--out-dir", type=Path, default=None)
     args = ap.parse_args(argv)
     cfg = SweepConfig(
-        shapes=parse_shapes(args.shapes),
+        shapes=args.shapes,
         seed=args.seed,
         trials=args.trials,
         out_dir=args.out_dir,

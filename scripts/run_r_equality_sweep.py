@@ -4,7 +4,7 @@
 For every admissible diagram in the requested (k, n) ranges the
 per-edge product, the necklace-minor radical, and the reverse-necklace
 radical are computed independently and compared as factor sets.
-Exits nonzero if any diagram disagrees.
+Exits 1 if any diagram disagrees, and 2 if the ranges hold no diagram.
 """
 
 import argparse
@@ -51,6 +51,11 @@ def main(argv=None) -> int:
     ap.add_argument("--k-max", type=int, default=2)
     ap.add_argument("--n-max", type=int, default=8)
     args = ap.parse_args(argv)
+    if args.k_max < 1 or args.n_max < 5:
+        ap.error(
+            f"no diagram to check: --k-max {args.k_max} --n-max {args.n_max}"
+            " needs k-max >= 1 and n-max >= 5 (n >= k + 4)"
+        )
     return run(SweepConfig(k_max=args.k_max, n_max=args.n_max))
 
 

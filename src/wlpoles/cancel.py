@@ -6,7 +6,8 @@ that share the same boundary cell, and the match is certified four ways:
 equality of the limit matroids (bases and both necklaces), vanishing of
 the weight sum, equality of sampled row spaces at the boundary point,
 and, for pairs, an exact sign identity under localization on twistor
-data.  ``amplitude_report`` runs the whole pipeline for fixed (k, n).
+data.  Localized rows are computed once per (propagator, sample).
+``amplitude_report`` runs the whole pipeline for fixed (k, n).
 """
 
 from __future__ import annotations
@@ -60,6 +61,31 @@ EXCLUDED_CODIM2 = "codim2"
 # localization
 
 
+def _localized_row(p: Propagator, Z: TwistorData) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:
+    """The gauge minor of p on Z and its vertex-replacement minors.
+
+    They depend on p and Z only, so they are computed once per
+    (propagator, sample) and kept in ``Z.memo``.  A vanishing gauge
+    minor raises and is not kept, so every later call raises too.
+    """
+    hit = Z.memo.get(p)
+    if hit is not None:
+        return hit
+    slots = vertex_support(p, Z.n)
+    block = [[Fraction(x) for x in Z.rows[s - 1][:4]] for s in slots]
+    d0 = mat_det([row[:] for row in block])
+    if d0 == 0:
+        raise StructuralError(f"degenerate twistor data: gauge minor of {p} vanishes")
+    gauge4 = [Fraction(x) for x in Z.gauge[:4]]
+    entries = []
+    for pos, m in enumerate(slots):
+        rep = [row[:] for row in block]
+        rep[pos] = gauge4[:]
+        entries.append((m, mat_det(rep)))
+    hit = Z.memo[p] = (d0, tuple(entries))
+    return hit
+
+
 def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
     """Evaluate every matrix entry of W on twistor data, exactly.
 
@@ -72,19 +98,12 @@ def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
         raise StructuralError(f"twistor data has n={Z.n}, diagram needs n={W.n}")
     if Z.width != W.k + 4:
         raise StructuralError(f"twistor width {Z.width}, diagram needs k+4={W.k + 4}")
-    gauge4 = [Fraction(x) for x in Z.gauge[:4]]
     out: dict[VarId, Fraction] = {}
     for r0, p in enumerate(W.props, start=1):
-        slots = vertex_support(p, W.n)
-        block = [[Fraction(x) for x in Z.rows[s - 1][:4]] for s in slots]
-        d0 = mat_det([row[:] for row in block])
-        if d0 == 0:
-            raise StructuralError(f"degenerate twistor data: gauge minor of {p} vanishes")
+        d0, entries = _localized_row(p, Z)
         out[VarId(r0, 0)] = d0
-        for pos, m in enumerate(slots):
-            rep = [row[:] for row in block]
-            rep[pos] = gauge4[:]
-            out[VarId(r0, m)] = mat_det(rep)
+        for m, value in entries:
+            out[VarId(r0, m)] = value
     return out
 
 

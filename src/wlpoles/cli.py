@@ -221,6 +221,12 @@ def cmd_cancel(cfg: RunConfig) -> int:
     if cap:
         print(f"error: {cap}", file=sys.stderr)
         return 2
+    if cfg.n < cfg.k + 4:
+        print(
+            f"error: no admissible diagram at (k, n) = ({cfg.k}, {cfg.n}); cancel needs n >= k + 4",
+            file=sys.stderr,
+        )
+        return 2
     report = amplitude_report(cfg.k, cfg.n, seed=cfg.seed, trials=cfg.trials)
     if cfg.format == "csv":
         _emit(cfg, report.to_csv())
@@ -243,7 +249,8 @@ def cmd_cancel(cfg: RunConfig) -> int:
     return 0 if report.status == "complete" else 1
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
+    """Argparse type for counts that must be at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -262,7 +269,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("-k", type=int, required=True, help="number of propagators")
             p.add_argument("-n", type=int, required=True, help="number of boundary vertices")
         p.add_argument("--seed", type=int, default=0, help="master seed for all sampling")
-        p.add_argument("--trials", type=_positive_int, default=10, help="sampled checks per certificate")
+        p.add_argument("--trials", type=positive_int, default=10, help="sampled checks per certificate")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--force", action="store_true", help="lift the n cap")

@@ -3,9 +3,12 @@
 The denominator R attached to a diagram is computed two independent
 ways: as the per-edge product of boundary variables and adjacent-pair
 quadratics, and as the set of prime factors of the necklace minors.
-Their agreement is a checkable invariant, not an assumption.  The
-module also classifies each factor's vanishing locus by codimension
-and certifies boundary cells that no factor vanishes on.
+Their agreement is a checkable invariant, not an assumption.  A
+necklace minor depends only on the row supports restricted to its
+columns, so minors are factored once per support pattern and the
+factors mapped back to the columns.  The module also classifies each
+factor's vanishing locus by codimension and certifies boundary cells
+that no factor vanishes on.
 """
 
 from __future__ import annotations
@@ -171,6 +174,39 @@ def _factor_keys(poly: Polynomial) -> frozenset[PoleFactor]:
     return frozenset(out)
 
 
+# Bounded, with room for every pattern of a (4, 9) sweep (2,464 of them).
+@functools.lru_cache(maxsize=4096)
+def _pattern_factor_keys(pattern: tuple[frozenset[int], ...]) -> frozenset[PoleFactor] | None:
+    """Factor keys of the square minor whose row r is supported on
+    ``pattern[r-1]`` within columns 1..k, or None if the minor vanishes."""
+    k = len(pattern)
+    minor = SymbolicMatrix(n=k, supports=pattern).minor(range(1, k + 1), range(1, k + 1))
+    return None if minor.is_zero() else _factor_keys(minor)
+
+
+def _minor_factor_keys(
+    supports: Sequence[frozenset[int]], cols: Sequence[int]
+) -> frozenset[PoleFactor] | None:
+    """Factor keys of the all-rows minor of the supports' symbolic matrix on
+    ``cols``, or None if it vanishes.
+
+    The minor depends only on the supports restricted to ``cols``, so it is
+    factored once per support pattern, with the columns renumbered 1..k,
+    and mapped back by c -> I[c-1].  Renaming x[r,p] to x[r,I_p] with I
+    increasing is a ring isomorphism that keeps the lex order, so the keys
+    are exactly those of factoring the minor directly.
+    """
+    I = sorted(cols)
+    pos = {c: p for p, c in enumerate(I, start=1)}
+    pattern = tuple(frozenset(pos[c] for c in row if c in pos) for row in supports)
+    keys = _pattern_factor_keys(pattern)
+    if keys is None:
+        return None
+    return frozenset(
+        PoleFactor(f.kind, f.rows, tuple(I[c - 1] for c in f.cols)) for f in keys
+    )
+
+
 def _r_poly_radical(V: Sequence, n: int | None, scan, provenance: str) -> RPolynomial:
     """Distinct prime factors of the minors on the bases ``scan`` picks."""
     rows = tuple(frozenset(r) for r in V)
@@ -181,13 +217,12 @@ def _r_poly_radical(V: Sequence, n: int | None, scan, provenance: str) -> RPolyn
     M = TransversalMatroid(n, rows)
     if M.k != len(rows):
         raise StructuralError(f"set system has rank {M.k}, expected {len(rows)}")
-    S = SymbolicMatrix(n=n, supports=rows)
     out: set[PoleFactor] = set()
     for I_a in scan(M):
-        minor = S.minor(list(range(1, len(rows) + 1)), sorted(I_a))
-        if minor.is_zero():
+        keys = _minor_factor_keys(rows, I_a)
+        if keys is None:
             raise InconsistencyError(f"necklace entry {I_a} is not a basis")
-        out |= _factor_keys(minor)
+        out |= keys
     return RPolynomial(
         factors=tuple(sorted(out, key=PoleFactor.sort_key)),
         provenance=provenance,
@@ -494,7 +529,6 @@ def boundary_without_pole(W: WilsonLoopDiagram) -> list[BoundaryNoPoleCertificat
         return []
     supports = W.supports()
     M = diagram_matroid(W)
-    Msym = diagram_matrix(W)
     nk = necklace(M)
 
     flats: set[frozenset[int]] = set()
@@ -573,19 +607,15 @@ def boundary_without_pole(W: WilsonLoopDiagram) -> list[BoundaryNoPoleCertificat
             checks.append(("circuits_preserved", circuits_ok))
 
             implication = "inconclusive"
-            rows_idx = list(range(1, k + 1))
-            m_v = Msym.minor(rows_idx, sorted(nk[v - 1]))
-            m_w = Msym.minor(rows_idx, sorted(nk[w - 1]))
-            m_pv = Msym.minor(rows_idx, sorted(nkp[v - 1]))
-            if not (m_v.is_zero() or m_w.is_zero() or m_pv.is_zero()):
-                try:
-                    kv = _factor_keys(m_v)
-                    kw = _factor_keys(m_w)
-                    kpv = _factor_keys(m_pv)
-                    if kv <= (kw | kpv):
-                        implication = "certified"
-                except UnstructuredResidualError:
-                    pass
+            try:
+                kv, kw, kpv = (
+                    _minor_factor_keys(supports, I)
+                    for I in (nk[v - 1], nk[w - 1], nkp[v - 1])
+                )
+                if None not in (kv, kw, kpv) and kv <= (kw | kpv):
+                    implication = "certified"
+            except UnstructuredResidualError:
+                pass
 
             certs.append(BoundaryNoPoleCertificate(
                 zero_flat=Z, extend_flat=X, vprime_rows=tuple(vrows),

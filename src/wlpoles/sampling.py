@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StructuralError
@@ -45,11 +45,14 @@ class TwistorData:
 
     ``rows`` is an n-tuple of (k+4)-tuples with every ordered maximal
     minor strictly positive.  ``gauge`` is the reference row Z_0 used
-    by the localization determinants.
+    by the localization determinants.  ``memo`` holds values derived
+    from this sample alone (``cancel.localize`` keeps each propagator's
+    localized row there); it is not part of the sample's identity.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
     gauge: tuple[Fraction, ...]
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -16,7 +16,7 @@ from wlpoles.cancel import (
     sign_samples,
     verify_group,
 )
-from wlpoles.diagrams import Propagator, WilsonLoopDiagram
+from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams, vertex_support
 from wlpoles.errors import StructuralError
 from wlpoles.exact import VarId, mat_det
 from wlpoles.poles import CODIM_GE2, factor_codim, pole_quad, pole_var
@@ -64,6 +64,43 @@ def test_localize_rejects_degenerate_rows():
     Z = TwistorData(rows=tuple(rows), gauge=good.gauge)
     with pytest.raises(StructuralError):
         localize(WilsonLoopDiagram(5, (Propagator.of(2, 4),)), Z)
+
+
+def direct_localize(W, Z):
+    """localize without the memo: five 4x4 determinants per propagator."""
+    out = {}
+    for r0, p in enumerate(W.props, start=1):
+        slots = vertex_support(p, W.n)
+        block = [list(Z.rows[s - 1][:4]) for s in slots]
+        out[VarId(r0, 0)] = mat_det([r[:] for r in block])
+        for pos, m in enumerate(slots):
+            rep = [r[:] for r in block]
+            rep[pos] = list(Z.gauge[:4])
+            out[VarId(r0, m)] = mat_det(rep)
+    return out
+
+
+def test_localize_memo_matches_determinants():
+    Z = twistor_data(2, 7, seed=3)
+    diagrams = enumerate_diagrams(2, 7)
+    want = [direct_localize(W, Z) for W in diagrams]
+    assert not Z.memo
+    assert [localize(W, Z) for W in diagrams] == want  # fills the memo
+    assert len(Z.memo) == len({p for W in diagrams for p in W.props})
+    assert [localize(W, Z) for W in diagrams] == want  # answered from it
+
+
+def test_localize_degenerate_rows_not_memoized():
+    good = twistor_data(2, 7, seed=1)
+    rows = list(good.rows)
+    rows[2] = rows[1]  # support rows of (2,4) become dependent
+    Z = TwistorData(rows=tuple(rows), gauge=good.gauge)
+    bad = Propagator.of(2, 4)
+    first, second = [W for W in enumerate_diagrams(2, 7) if bad in W.props][:2]
+    for W in (first, first, second):
+        with pytest.raises(StructuralError):
+            localize(W, Z)
+    assert bad not in Z.memo
 
 
 def test_localize_rejects_shape_mismatch():
@@ -222,6 +259,26 @@ def test_sign_samples_drawn_once_per_amplitude(monkeypatch):
     assert sum(g.kind == "pair" for g in rep.groups) > 1
     assert len(drawn) == 10
     assert [id(Z) for Z in checked] == [id(Z) for Z in drawn]
+
+
+def test_localize_det_calls_per_propagator_sample(monkeypatch):
+    calls = []
+    det = wlpoles.cancel.mat_det
+
+    def counted_det(rows):
+        calls.append(len(rows))
+        return det(rows)
+
+    monkeypatch.setattr(wlpoles.cancel, "mat_det", counted_det)
+    sign_samples.cache_clear()
+    try:
+        rep = amplitude_report(2, 6, trials=10)
+    finally:
+        sign_samples.cache_clear()
+    assert rep.status == "complete"
+    localized = {p for g in rep.groups if g.kind == "pair" for m in g.members for p in m.diagram.props}
+    assert calls and set(calls) == {4}
+    assert len(calls) <= 5 * len(localized) * 10
 
 
 def test_verify_wide_triple():

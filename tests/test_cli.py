@@ -167,3 +167,11 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cancel_rejects_shapes_without_diagrams(capsys):
+    for k, n in ((2, 5), (1, 4), (3, 6)):
+        code, out, err = run(capsys, "cancel", "-k", str(k), "-n", str(n))
+        assert code == 2
+        assert out == ""
+        assert f"(k, n) = ({k}, {n})" in err

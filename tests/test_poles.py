@@ -6,6 +6,8 @@ from wlpoles.diagrams import Propagator, WilsonLoopDiagram, edge_order, enumerat
 from wlpoles.errors import StructuralError
 from wlpoles.exact import Polynomial, VarId
 from wlpoles.poles import (
+    _factor_keys,
+    _pattern_factor_keys,
     CODIM_GE2,
     CODIM_ONE,
     PoleFactor,
@@ -22,6 +24,7 @@ from wlpoles.poles import (
     span_growth,
     vanish_on_boundary_witness,
 )
+from wlpoles.positroids import diagram_matrix, diagram_matroid, necklace, reverse_necklace
 
 V1 = [{1, 2, 4, 5}, {1, 2, 3, 4}]
 V2 = [{1, 2, 4, 5}, {2, 3, 4, 5}]
@@ -183,3 +186,24 @@ def test_r_equality_sweep_small():
             assert check_r_equalities(W).ok
     for W in enumerate_diagrams(2, 6):
         assert check_r_equalities(W).ok
+
+
+def test_pattern_memo_matches_direct_minors():
+    """Both radical routes equal the union of directly factored minors."""
+    for k, n in ((2, 7), (3, 7)):
+        rows = list(range(1, k + 1))
+        for W in enumerate_diagrams(k, n):
+            S, M = diagram_matrix(W), diagram_matroid(W)
+            for scan, route in ((necklace, r_poly_necklace), (reverse_necklace, r_poly_reverse)):
+                direct = set()
+                for I in scan(M):
+                    direct |= _factor_keys(S.minor(rows, sorted(I)))
+                assert route(W.supports(), n).factor_set() == direct, (W, scan.__name__)
+
+
+def test_pattern_memo_holds_seven_patterns_at_k2():
+    _pattern_factor_keys.cache_clear()
+    for n in (6, 7, 8):
+        for W in enumerate_diagrams(2, n):
+            assert check_r_equalities(W).ok
+    assert _pattern_factor_keys.cache_info().currsize == 7
