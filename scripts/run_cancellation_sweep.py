@@ -7,25 +7,13 @@ optionally dumps the full JSON reports into a directory.
 """
 
 import argparse
-import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from wlpoles.cancel import amplitude_report, report_json
 from wlpoles.cli import positive_int
-
-
-@dataclass
-class SweepConfig:
-    shapes: list[tuple[int, int]] = field(
-        default_factory=lambda: [(1, 5), (1, 6), (1, 7), (2, 6), (2, 7)]
-    )
-    seed: int = 0
-    trials: int = 10
-    out_dir: Path | None = None
 
 
 def parse_shapes(arg: str) -> list[tuple[int, int]]:
@@ -42,11 +30,11 @@ def parse_shapes(arg: str) -> list[tuple[int, int]]:
     return shapes
 
 
-def run(cfg: SweepConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     incomplete = 0
-    for k, n in cfg.shapes:
+    for k, n in args.shapes:
         t0 = time.perf_counter()
-        rep = amplitude_report(k, n, seed=cfg.seed, trials=cfg.trials)
+        rep = amplitude_report(k, n, seed=args.seed, trials=args.trials)
         dt = time.perf_counter() - t0
         cases = Counter(g.case for g in rep.groups)
         case_txt = " ".join(f"{c}:{cases[c]}" for c in sorted(cases))
@@ -59,9 +47,9 @@ def run(cfg: SweepConfig) -> int:
             incomplete += 1
             for line in rep.failures:
                 print(f"    failure: {line}")
-        if cfg.out_dir is not None:
-            cfg.out_dir.mkdir(parents=True, exist_ok=True)
-            path = cfg.out_dir / f"cancel_k{k}_n{n}.json"
+        if args.out_dir is not None:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+            path = args.out_dir / f"cancel_k{k}_n{n}.json"
             path.write_text(report_json(rep))
             print(f"    wrote {path}")
     return 1 if incomplete else 0
@@ -78,14 +66,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--trials", type=positive_int, default=10)
     ap.add_argument("--out-dir", type=Path, default=None)
-    args = ap.parse_args(argv)
-    cfg = SweepConfig(
-        shapes=args.shapes,
-        seed=args.seed,
-        trials=args.trials,
-        out_dir=args.out_dir,
-    )
-    return run(cfg)
+    return run(ap.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -10,22 +10,15 @@ Exits 1 if any diagram disagrees, and 2 if the ranges hold no diagram.
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from wlpoles.diagrams import enumerate_diagrams
 from wlpoles.poles import check_r_equalities
 
 
-@dataclass
-class SweepConfig:
-    k_max: int = 2
-    n_max: int = 8
-
-
-def run(cfg: SweepConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     bad = 0
-    for k in range(1, cfg.k_max + 1):
-        for n in range(k + 4, cfg.n_max + 1):
+    for k in range(1, args.k_max + 1):
+        for n in range(k + 4, args.n_max + 1):
             t0 = time.perf_counter()
             diagrams = enumerate_diagrams(k, n)
             mismatched = []
@@ -56,7 +49,7 @@ def main(argv=None) -> int:
             f"no diagram to check: --k-max {args.k_max} --n-max {args.n_max}"
             " needs k-max >= 1 and n-max >= 5 (n >= k + 4)"
         )
-    return run(SweepConfig(k_max=args.k_max, n_max=args.n_max))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -2,12 +2,16 @@
 
 Every codimension-one factor of the pole polynomial of an admissible
 diagram is matched with the factors of one or two neighbouring diagrams
-that share the same boundary cell, and the match is certified four ways:
-equality of the limit matroids (bases and both necklaces), vanishing of
-the weight sum, equality of sampled row spaces at the boundary point,
-and, for pairs, an exact sign identity under localization on twistor
-data.  Localized rows are computed once per (propagator, sample).
-``amplitude_report`` runs the whole pipeline for fixed (k, n).
+that share the same boundary cell.  A single entry x[p, v] pairs with the
+diagram that swaps p for the one other propagator whose support contains
+V_p - {v}, or, when that propagator would cross the diagram, joins the
+triple of a narrow quadratic; quadratics close into triples.  The match
+is certified four ways: equality of the limit matroids (bases and both
+necklaces), vanishing of the weight sum, equality of sampled row spaces
+at the boundary point, and, for pairs, an exact sign identity under
+localization on twistor data.  Localized rows are computed once per
+(propagator, sample).  ``amplitude_report`` runs the whole pipeline for
+fixed (k, n).
 """
 
 from __future__ import annotations
@@ -17,12 +21,11 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator
 
 from .diagrams import (
     Propagator,
     WilsonLoopDiagram,
+    crossing,
     cyc,
     enumerate_diagrams,
     is_admissible,
@@ -43,7 +46,7 @@ from .poles import (
     quad_geometry,
     r_poly_edge,
 )
-from .positroids import CellDescriptor, cell_descriptor, is_minimal, necklace, reverse_necklace
+from .positroids import CellDescriptor, is_minimal, necklace, reverse_necklace
 from .sampling import TwistorData, rand_fraction, rand_fraction_excluding, seeded_rng, twistor_data
 
 CASE1 = "1"
@@ -120,53 +123,53 @@ def consecutive_base(p: Propagator, n: int) -> int | None:
     return None
 
 
-def _slide_move(p: Propagator, v: int, n: int) -> tuple[Propagator, int]:
-    """Partner obtained by sliding the endpoint of p nearest v across v.
+# Memoized: the answer depends on (p, v, n) alone, at most 2n(n-3) triples
+# per n, and classify asks it for every single-entry factor.
+@functools.lru_cache(maxsize=1024)
+def _through(p: Propagator, v: int, n: int) -> tuple[Propagator, int]:
+    """The other propagator q whose support contains V_p minus v.
 
-    Orient p = (i, j) so that v is i or i+1.  Removing support vertex i
-    moves the end to i+1 and the lost column reappears at i+2; removing
-    i+1 moves the end to i-1 and the column reappears at i-1.  The move
-    is an involution on (propagator, column) data.
+    The three vertices left hold a whole edge t, which q must own, and
+    one vertex u on q's other edge, so q is (t, u-1) or (t, u) for each
+    such t: at most four candidates.  Exactly one of them besides p
+    must be a valid propagator.  Returns q and the vertex it adds to
+    V_p - {v}.
     """
-    if v in (p.e1, cyc(p.e1 + 1, n)):
-        i, j = p.e1, p.e2
-    elif v in (p.e2, cyc(p.e2 + 1, n)):
-        i, j = p.e2, p.e1
-    else:
+    support = vertex_support(p, n)
+    if v not in support:
         raise StructuralError(f"vertex {v} is not in the support of {p}")
-    if v == i:
-        return Propagator.of(cyc(i + 1, n), j), cyc(i + 2, n)
-    return Propagator.of(cyc(i - 1, n), j), cyc(i - 1, n)
-
-
-def _hop_move(p: Propagator, v: int, n: int) -> tuple[Propagator, int]:
-    """Partner for an outer vertex of a propagator with consecutive support.
-
-    For p with V_p = {a, .., a+3}, removing vertex a shifts both ends up
-    by one and the column reappears at a+4; removing a+3 shifts both
-    ends down and the column reappears at a-1.
-    """
-    a = consecutive_base(p, n)
-    if a is None:
-        raise StructuralError(f"{p} does not have consecutive support")
-    if v == a:
-        return Propagator.of(cyc(a + 1, n), cyc(a + 3, n)), cyc(a + 4, n)
-    if v == cyc(a + 3, n):
-        return Propagator.of(cyc(a - 1, n), cyc(a + 1, n)), cyc(a - 1, n)
-    raise StructuralError(f"vertex {v} is not an outer vertex of {p}")
+    left = [x for x in support if x != v]
+    found = []
+    for t in left:
+        t1 = cyc(t + 1, n)
+        if t1 not in left:
+            continue
+        u = sum(left) - t - t1
+        before = cyc(u - 1, n)
+        for e, added in ((before, before), (u, cyc(u + 1, n))):
+            if 1 < (e - t) % n < n - 1:  # edges t and e share no vertex
+                q = Propagator.of(t, e)
+                if q != p:
+                    found.append((q, added))
+    if len(found) != 1:
+        raise InconsistencyError(
+            f"expected one propagator through the support of {p} without {v}, found {len(found)}"
+        )
+    return found[0]
 
 
 def classify(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     """Case tag of a pole factor: 1/2 pairable single entries, 2a blocked
-    outer entries, 3/3b pairable quadratics, 1a/3a higher codimension.
+    single entries, 3/3b pairable quadratics, 1a/3a higher codimension.
 
-    Single entries on a propagator whose support is four consecutive
-    vertices split by position: the two outer vertices hop both ends
-    (tag 2, or 2a when a propagator on the middle edge blocks the hop),
-    the two inner vertices slide one end exactly as in the generic case.
-    Quadratics are narrow (3b) when the far endpoints are adjacent, and
-    otherwise wide: tag 3a when the chord joining the far endpoints is
-    already a propagator, else 3.
+    A single entry x[p, v] vanishes on the boundary whose row p has
+    support V_p - {v}; its partner is the one other propagator q through
+    those three vertices (:func:`_through`).  The tag is 1a when q is
+    already in W, 1 when q shares an endpoint edge with p, and otherwise
+    2, or 2a when q would cross another propagator of W.  Quadratics
+    are narrow (3b) when the far endpoints are adjacent, and otherwise
+    wide: tag 3a when the chord joining the far endpoints is already a
+    propagator, else 3.
     """
     if f not in r_poly_edge(W).factor_set():
         raise StructuralError(f"{f.label()} is not a factor of R({W})")
@@ -178,17 +181,12 @@ def classify(W: WilsonLoopDiagram, f: PoleFactor) -> str:
         return CASE3A if Propagator.of(j, k) in W.props else CASE3
 
     p = W.props[f.rows[0] - 1]
-    v = f.cols[0]
-    a = consecutive_base(p, n)
-    if a is not None and v == a:
-        mid = cyc(a + 2, n)
-        blocked = any(q != p and mid in q for q in W.props)
-        return CASE2A if blocked else CASE2
-    if a is not None and v == cyc(a + 3, n):
-        blocked = any(q != p and a in q for q in W.props)
-        return CASE2A if blocked else CASE2
-    q, _ = _slide_move(p, v, n)
-    return CASE1A if q in W.props else CASE1
+    q, _ = _through(p, f.cols[0], n)
+    if q in W.props:
+        return CASE1A
+    if q.e1 in p or q.e2 in p:
+        return CASE1
+    return CASE2A if any(r != p and crossing(q, r) for r in W.props) else CASE2
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +374,12 @@ def _narrow_base(W, f) -> tuple[WilsonLoopDiagram, PoleFactor]:
 def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
     """Cancellation group of a codimension-one factor.
 
-    Tags 1 and 2 pair with a single neighbouring diagram via the slide
-    or hop move; tag 3 closes into a triple over the chord between the
-    far endpoints; tags 3b and 2a land in the mixed triple of a narrow
-    quadratic.  Tags 1a and 3a have no group.
+    Tags 1 and 2 pair x[p, v] with the diagram that swaps p for the one
+    other propagator through V_p - {v}, whose own factor is the vertex
+    that propagator adds; the rule is symmetric, so the partner's
+    partner is the entry itself.  Tag 3 closes into a triple over the
+    chord between the far endpoints; tags 3b and 2a land in the mixed
+    triple of a narrow quadratic.  Tags 1a and 3a have no group.
     """
     tag = classify(W, f)
     if tag in (CASE1A, CASE3A):
@@ -396,9 +396,7 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
         return g
 
     p = W.props[f.rows[0] - 1]
-    v = f.cols[0]
-    move = _hop_move if tag == CASE2 else _slide_move
-    q, col = move(p, v, W.n)
+    q, col = _through(p, f.cols[0], W.n)
     W2 = _swap(W, remove=p, add=q)
     f2 = pole_var(W2.props.index(q) + 1, col)
     _require_factor(W2, f2)
@@ -407,9 +405,6 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
         raise InconsistencyError(
             f"partner of ({W}, {f.label()}) classifies as {tag2}, expected {tag}"
         )
-    back, col_back = move(q, col, W.n)
-    if back != p or col_back != v:
-        raise InconsistencyError(f"move from ({W}, {f.label()}) is not an involution")
     ordered = sorted(((W, f), (W2, f2)), key=_entry_key)
     members = tuple(
         GroupMember(d, fac, w) for (d, fac), w in zip(ordered, ("+1", "-1"))
@@ -449,13 +444,6 @@ def _group_base(g: CancellationGroup) -> GroupMember:
     if g.kind in ("pair", "wide"):
         return g.members[0]
     return next(m for m in g.members if m.factor.kind == "quad")
-
-
-def _necklace_sets(M: Matroid) -> list[list[frozenset[int]]]:
-    return [
-        [frozenset(entry) for entry in necklace(M)],
-        [frozenset(entry) for entry in reverse_necklace(M)],
-    ]
 
 
 def _row_space_trial(g: CancellationGroup, rng) -> None:
@@ -542,9 +530,9 @@ def _row_space_trial(g: CancellationGroup, rng) -> None:
         if mat_rank(grid) != k:
             raise InconsistencyError(f"limit matrix of {W} does not have rank {k}")
         grids.append(grid)
-    for ga, gb in combinations(grids, 2):
-        if mat_rank([row[:] for row in ga] + [row[:] for row in gb]) != k:
-            raise InconsistencyError("members meet the boundary in different row spaces")
+    # each member has rank k, so they share one row space iff the stack does
+    if mat_rank([row for grid in grids for row in grid]) != k:
+        raise InconsistencyError("members meet the boundary in different row spaces")
 
 
 @functools.lru_cache(maxsize=4)
@@ -583,14 +571,12 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     checks.append(("limit_rank", rank_ok))
     bases_ok = neck_ok = rev_ok = False
     if rank_ok:
-        bases0 = limits[0][0].bases()
-        bases_ok = all(M.bases() == bases0 for M, _ in limits[1:])
-        neck0, rev0 = _necklace_sets(limits[0][0])
-        neck_ok = rev_ok = True
-        for M, _ in limits[1:]:
-            neck, rev = _necklace_sets(M)
-            neck_ok = neck_ok and neck == neck0
-            rev_ok = rev_ok and rev == rev0
+        # necklace entries are listed in shifted order, so tuples compare as sets
+        cells = [(M.bases(), tuple(necklace(M)), tuple(reverse_necklace(M))) for M, _ in limits]
+        bases0, neck0, rev0 = cells[0]
+        bases_ok = all(bases == bases0 for bases, _, _ in cells)
+        neck_ok = all(neck == neck0 for _, neck, _ in cells)
+        rev_ok = all(rev == rev0 for _, _, rev in cells)
     checks.append(("boundary_bases_equal", bases_ok))
     checks.append(("boundary_necklace_equal", neck_ok))
     checks.append(("boundary_reverse_equal", rev_ok))
@@ -613,10 +599,13 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
             var_index = next(i for i, m in enumerate(g.members) if m.factor.kind == "var")
             dim_ok = is_minimal(limits[var_index][1], n).dimension == 3 * k - 1
         base_index = g.members.index(_group_base(g))
-        boundary = cell_descriptor(
-            limits[base_index][1],
-            n,
-            matroid=limits[base_index][0],
+        _, neck, rev = cells[base_index]
+        boundary = CellDescriptor(
+            k=k,
+            n=n,
+            rows=limits[base_index][1],
+            necklace=neck,
+            reverse_necklace=rev,
             dimension=3 * k - 1 if dim_ok else None,
         )
     checks.append(("boundary_dimension", dim_ok))
@@ -724,10 +713,6 @@ class AmplitudeReport:
         return "\n".join(lines) + "\n"
 
 
-def _factor_entries(W: WilsonLoopDiagram) -> Iterator[PoleFactor]:
-    return iter(sorted(r_poly_edge(W).factors, key=lambda f: f.sort_key()))
-
-
 def amplitude_report(k: int, n: int, seed: int = 0, trials: int = 10) -> AmplitudeReport:
     """Classify every pole factor at (k, n) and certify all cancellations.
 
@@ -746,7 +731,7 @@ def amplitude_report(k: int, n: int, seed: int = 0, trials: int = 10) -> Amplitu
         eq = check_r_equalities(W)
         if not eq.ok:
             raise InconsistencyError(f"pole polynomial routes disagree on {W}: {eq.mismatches}")
-        for f in _factor_entries(W):
+        for f in r_poly_edge(W).factors:
             tag = classify(W, f)
             codim = factor_codim(W, f)
             if codim == CODIM_GE2:

@@ -12,32 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .cancel import amplitude_report, diagram_token
 from .diagrams import WilsonLoopDiagram, enumerate_diagrams, validate
 from .errors import InconsistencyError, StructuralError
 from .matroids import TransversalMatroid, structure
-from .poles import check_r_equalities, r_poly_necklace, r_poly_reverse
+from .poles import PoleFactor, check_r_equalities, r_poly_necklace, r_poly_reverse
 from .positroids import cell_descriptor, diagram_cell, diagram_matroid
 
 N_CAP = 12
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    k: int
-    n: int
-    seed: int
-    trials: int
-    out: str | None
-    format: str
-    force: bool
-    path: str | None = None
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
@@ -49,13 +35,13 @@ def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _check_cap(cfg: RunConfig) -> str | None:
+def _check_cap(cfg: argparse.Namespace) -> str | None:
     if cfg.n > N_CAP and not cfg.force:
         return f"n={cfg.n} exceeds the default cap {N_CAP}; pass --force to override"
     return None
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
+def cmd_enumerate(cfg: argparse.Namespace) -> int:
     cap = _check_cap(cfg)
     if cap:
         print(f"error: {cap}", file=sys.stderr)
@@ -85,7 +71,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     return 0
 
 
-def _analyze_diagram(cfg: RunConfig, obj: dict) -> tuple[dict, int]:
+def _analyze_diagram(cfg: argparse.Namespace, obj: dict) -> tuple[dict, int]:
     W = WilsonLoopDiagram.from_json(obj)
     verdict = validate(W)
     verdict_json = {
@@ -126,7 +112,7 @@ def _analyze_diagram(cfg: RunConfig, obj: dict) -> tuple[dict, int]:
     return head, 0 if eq.ok else 1
 
 
-def _analyze_rows(cfg: RunConfig, obj: dict) -> tuple[dict, int]:
+def _analyze_rows(cfg: argparse.Namespace, obj: dict) -> tuple[dict, int]:
     n = obj["n"]
     rows = [frozenset(r) for r in obj["rows"]]
     if not isinstance(n, int) or not rows or any(not r for r in rows):
@@ -154,19 +140,11 @@ def _analyze_rows(cfg: RunConfig, obj: dict) -> tuple[dict, int]:
     return payload, 0 if equal else 1
 
 
-def _factor_label(f: dict) -> str:
-    if f["kind"] == "var":
-        return f"var:{f['row']}:{f['col']}"
-    rows = ":".join(str(x) for x in f["rows"])
-    cols = ":".join(str(x) for x in f["cols"])
-    return f"quad:{rows}:{cols}"
-
-
 def _analyze_csv(payload: dict) -> str:
     lines = ["provenance,factor"]
     for prov, factors in sorted(payload.get("r", {}).items()):
         for f in factors:
-            lines.append(f"{prov},{_factor_label(f)}")
+            lines.append(f"{prov},{PoleFactor.from_json(f).label()}")
     return "\n".join(lines) + "\n"
 
 
@@ -182,14 +160,14 @@ def _analyze_text(payload: dict) -> str:
         lines.append(f"necklace={cell['necklace']}")
         lines.append(f"dimension={cell['dimension']}")
     for prov, factors in sorted(payload.get("r", {}).items()):
-        labels = [_factor_label(f) for f in factors]
+        labels = [PoleFactor.from_json(f).label() for f in factors]
         lines.append(f"R[{prov}]: {' '.join(labels)}")
     if "r_equal" in payload:
         lines.append(f"r_equal={payload['r_equal']}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: argparse.Namespace) -> int:
     try:
         with open(cfg.path) as fh:
             obj = json.load(fh)
@@ -216,7 +194,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return code
 
 
-def cmd_cancel(cfg: RunConfig) -> int:
+def cmd_cancel(cfg: argparse.Namespace) -> int:
     cap = _check_cap(cfg)
     if cap:
         print(f"error: {cap}", file=sys.stderr)
@@ -285,18 +263,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        k=getattr(args, "k", 0),
-        n=getattr(args, "n", 0),
-        seed=args.seed,
-        trials=args.trials,
-        out=args.out,
-        format=args.format,
-        force=args.force,
-        path=getattr(args, "path", None),
-    )
+    cfg = _parser().parse_args(argv)
     try:
         if cfg.command == "enumerate":
             return cmd_enumerate(cfg)

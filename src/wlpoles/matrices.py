@@ -2,8 +2,7 @@
 
 A matrix is described by its row supports: entry (i, j) is the
 variable x[i,j] when column j lies in row i's support and exactly
-zero otherwise.  Column 0 is the optional gauge column, present in
-every row when enabled.
+zero otherwise.
 """
 
 from __future__ import annotations
@@ -20,37 +19,20 @@ from .exact import Polynomial, Scalar, VarId, mat_rank, poly_det
 class SymbolicMatrix:
     n: int
     supports: tuple[frozenset[int], ...]
-    gauge: bool = False
 
     @property
     def k(self) -> int:
         return len(self.supports)
 
-    def columns(self) -> list[int]:
-        cols = list(range(1, self.n + 1))
-        return [0] + cols if self.gauge else cols
-
     def entry(self, row: int, col: int) -> Polynomial:
         """Entry at 1-based row index and column label."""
         if not (1 <= row <= self.k):
             raise StructuralError(f"row {row} out of range")
-        if col == 0:
-            if not self.gauge:
-                raise StructuralError("no gauge column in this matrix")
-            return Polynomial.variable(VarId(row, 0))
         if not (1 <= col <= self.n):
             raise StructuralError(f"column {col} out of range")
         if col in self.supports[row - 1]:
             return Polynomial.variable(VarId(row, col))
         return Polynomial.zero()
-
-    def variables(self) -> list[VarId]:
-        out = []
-        for i, sup in enumerate(self.supports, start=1):
-            if self.gauge:
-                out.append(VarId(i, 0))
-            out.extend(VarId(i, c) for c in sorted(sup))
-        return out
 
     def minor(self, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
         """Determinant of the submatrix in the given row/column order."""
@@ -66,7 +48,7 @@ class SymbolicMatrix:
         values = []
         for i in range(1, self.k + 1):
             row = []
-            for c in self.columns():
+            for c in range(1, self.n + 1):
                 e = self.entry(i, c)
                 row.append(e.evaluate(assignment) if e else Fraction(0))
             values.append(tuple(row))
@@ -75,7 +57,7 @@ class SymbolicMatrix:
 
 
 def matrix_from_sets(
-    V: Sequence[Iterable[int]], gauge: bool = False, n: int | None = None
+    V: Sequence[Iterable[int]], n: int | None = None
 ) -> SymbolicMatrix:
     """Symbolic matrix of a set system; column count inferred if omitted."""
     rows = [frozenset(int(v) for v in row) for row in V]
@@ -89,7 +71,7 @@ def matrix_from_sets(
         n = hi
     if hi > n or min(min(row) for row in rows) < 1:
         raise StructuralError(f"supports not within [1, {n}]")
-    return SymbolicMatrix(n=n, supports=tuple(rows), gauge=gauge)
+    return SymbolicMatrix(n=n, supports=tuple(rows))
 
 
 def jacobian_det(

@@ -158,31 +158,20 @@ class CellDescriptor:
         }
 
 
-def cell_descriptor(
-    V: Sequence[Iterable[int]],
-    n: int | None = None,
-    matroid: Matroid | None = None,
-    dimension: int | None = None,
-) -> CellDescriptor:
-    """Descriptor of the cell of a set system.
-
-    The matroid defaults to the transversal matroid of V and the
-    dimension to the minimality count; both can be supplied explicitly
-    for limit configurations whose entries are not independent.
-    """
+def cell_descriptor(V: Sequence[Iterable[int]], n: int | None = None) -> CellDescriptor:
+    """Descriptor of the cell of a set system: its transversal matroid's
+    necklaces and the minimality count as dimension."""
     rows = tuple(frozenset(r) for r in V)
     if n is None:
         n = max(max(r) for r in rows if r)
-    M = matroid if matroid is not None else TransversalMatroid(n, rows)
-    if dimension is None and matroid is None:
-        dimension = is_minimal(rows, n).dimension
+    M = TransversalMatroid(n, rows)
     return CellDescriptor(
         k=M.k,
         n=n,
         rows=rows,
         necklace=tuple(necklace(M)),
         reverse_necklace=tuple(reverse_necklace(M)),
-        dimension=dimension,
+        dimension=is_minimal(rows, n).dimension,
     )
 
 
@@ -190,16 +179,14 @@ def diagram_matroid(W: WilsonLoopDiagram) -> TransversalMatroid:
     return TransversalMatroid(W.n, W.supports())
 
 
-def diagram_matrix(W: WilsonLoopDiagram, gauge: bool = False) -> SymbolicMatrix:
-    return matrix_from_sets(W.supports(), gauge=gauge, n=W.n)
+def diagram_matrix(W: WilsonLoopDiagram) -> SymbolicMatrix:
+    return matrix_from_sets(W.supports(), n=W.n)
 
 
 def diagram_cell(W: WilsonLoopDiagram, expect_positroid: bool = True) -> CellDescriptor:
-    M = diagram_matroid(W)
     if expect_positroid:
-        is_positroid(M, expect=True)
-    return cell_descriptor(W.supports(), n=W.n, matroid=M,
-                           dimension=is_minimal(W.supports(), W.n).dimension)
+        is_positroid(diagram_matroid(W), expect=True)
+    return cell_descriptor(W.supports(), n=W.n)
 
 
 @dataclass(frozen=True)

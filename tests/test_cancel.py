@@ -20,6 +20,7 @@ from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams, 
 from wlpoles.errors import StructuralError
 from wlpoles.exact import VarId, mat_det
 from wlpoles.poles import CODIM_GE2, factor_codim, pole_quad, pole_var
+from wlpoles.positroids import cell_descriptor
 from wlpoles.sampling import TwistorData, twistor_data
 
 W42 = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(1, 5)))
@@ -233,6 +234,32 @@ def test_sign_identity_fails_on_a_wrong_factor():
     assert dict(bad.checks)["sign_identity"] is False
     assert not bad.verified
     assert any(f.startswith("sign identity fails at twistor sample 0") for f in bad.failures)
+
+
+def test_boundary_checks_fail_on_a_wrong_factor():
+    g = partners(W42, pole_var(1, 3))
+    m = g.members[1]
+    row = m.diagram.props[m.factor.rows[0] - 1]
+    other = next(c for c in sorted(m.diagram.support(row)) if c != m.factor.cols[0])
+    wrong = dataclasses.replace(m, factor=pole_var(m.factor.rows[0], other))
+    bad = verify_group(dataclasses.replace(g, members=(g.members[0], wrong)), trials=3, seed=1)
+    checks = dict(bad.checks)
+    for name in ("boundary_bases_equal", "boundary_necklace_equal", "boundary_reverse_equal"):
+        assert checks[name] is False
+    assert "limit matroids of the members differ" in bad.failures
+
+
+def test_pair_boundary_is_the_cell_of_the_limit_rows():
+    for f in (pole_var(1, 3), pole_var(1, 1)):  # tags 1 and 2
+        g = verify_group(partners(W42, f), trials=3, seed=1)
+        base = g.members[0]
+        p = base.diagram.props[base.factor.rows[0] - 1]
+        rows = [
+            frozenset(base.diagram.support(x)) - ({base.factor.cols[0]} if x == p else set())
+            for x in base.diagram.props
+        ]
+        assert g.verified and g.boundary == cell_descriptor(rows, base.diagram.n)
+        assert g.boundary.dimension == 3 * base.diagram.k - 1
 
 
 def test_sign_samples_drawn_once_per_amplitude(monkeypatch):

@@ -175,3 +175,27 @@ def test_cancel_rejects_shapes_without_diagrams(capsys):
         assert code == 2
         assert out == ""
         assert f"(k, n) = ({k}, {n})" in err
+
+
+def factor_rows(routes, labels):
+    return "provenance,factor\n" + "".join(f"{r},{lab}\n" for r in routes for lab in labels)
+
+
+def test_analyze_csv_diagram(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(DIAGRAM))
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "csv")
+    assert code == 0
+    labels = ["quad:1:2:1:2", "var:1:1", "var:1:3", "var:1:4", "var:2:2", "var:2:5", "var:2:6"]
+    assert out == factor_rows(("edge", "necklace", "reverse"), labels)
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "text")
+    assert f"R[edge]: {' '.join(labels)}\n" in out
+
+
+def test_analyze_csv_rows(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(RAW))
+    code, out, _ = run(capsys, "analyze", str(path), "--format", "csv")
+    assert code == 0
+    labels = ["quad:1:2:1:2", "var:1:2", "var:1:4", "var:1:5", "var:2:1", "var:2:3", "var:2:4"]
+    assert out == factor_rows(("necklace", "reverse"), labels)
