@@ -7,17 +7,18 @@ diagram that swaps p for the one other propagator whose support contains
 V_p - {v}, or, when that propagator would cross the diagram, joins the
 triple of a narrow quadratic; quadratics close into triples.  The match
 is certified four ways: equality of the limit matroids (bases and both
-necklaces), vanishing of the weight sum, equality of sampled row spaces
-at the boundary point, and, for pairs, an exact sign identity under
-localization on twistor data.  Localized rows are computed once per
-(propagator, sample).  ``amplitude_report`` runs the whole pipeline for
-fixed (k, n).
+necklaces), vanishing of the weight sum, one exact row-space certificate
+that every member reaches the others' limits and meets one boundary
+point, and, for pairs, an exact sign identity under localization on
+twistor data.  Localized rows are computed once per (propagator,
+sample).  ``amplitude_report`` runs the whole pipeline for fixed (k, n).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .diagrams import (
     vertex_support,
 )
 from .errors import InconsistencyError, StructuralError
-from .exact import Polynomial, VarId, mat_det, mat_rank
+from .exact import Polynomial, VarId, mat_det, mat_rank, poly_det, specialize
 from .matroids import Matroid, MatrixMatroid, TransversalMatroid
 from .poles import (
     CODIM_GE2,
@@ -47,7 +48,7 @@ from .poles import (
     r_poly_edge,
 )
 from .positroids import CellDescriptor, is_minimal, necklace, reverse_necklace
-from .sampling import TwistorData, rand_fraction, rand_fraction_excluding, seeded_rng, twistor_data
+from .sampling import TwistorData, seeded_rng, twistor_data
 
 CASE1 = "1"
 CASE1A = "1a"
@@ -416,8 +417,8 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
 # verification
 
 
-def _member_limit(m: GroupMember) -> tuple[Matroid, tuple[frozenset[int], ...]]:
-    """Limit matroid of a member and displayable limit supports.
+def _member_limit(m: GroupMember) -> tuple[Matroid, tuple[frozenset[int], ...], list[dict]]:
+    """Limit matroid of a member, displayable limit supports, symbolic limit rows.
 
     A vanishing single entry deletes one element from its row, and the
     transversal matroid of the reduced supports is exact.  A vanishing
@@ -430,14 +431,15 @@ def _member_limit(m: GroupMember) -> tuple[Matroid, tuple[frozenset[int], ...]]:
     if f.kind == "var":
         rows = list(supports)
         rows[f.rows[0] - 1] = rows[f.rows[0] - 1] - {f.cols[0]}
-        return TransversalMatroid(W.n, rows), tuple(rows)
+        generic = [{c: Polynomial.variable(VarId(r, c)) for c in V} for r, V in enumerate(rows, 1)]
+        return TransversalMatroid(W.n, rows), tuple(rows), generic
     e, near, far, _, _ = quad_geometry(W, f)
     p_row = W.props.index(near) + 1
     q_row = W.props.index(far) + 1
     lam = limit_rows(supports, W.n, p_row, q_row, e)
     display = list(supports)
     display[q_row - 1] = (supports[p_row - 1] | supports[q_row - 1]) - {e, cyc(e + 1, W.n)}
-    return MatrixMatroid(W.n, lam), tuple(display)
+    return MatrixMatroid(W.n, lam), tuple(display), lam
 
 
 def _group_base(g: CancellationGroup) -> GroupMember:
@@ -446,18 +448,28 @@ def _group_base(g: CancellationGroup) -> GroupMember:
     return next(m for m in g.members if m.factor.kind == "quad")
 
 
-def _row_space_trial(g: CancellationGroup, rng) -> None:
-    """One sampled boundary point shared by all members of the group.
+def _within(rows: list[list[int]], support: frozenset[int]) -> list[int]:
+    """A nonzero vector in the span of independent integer rows that
+    vanishes off ``support`` (columns 1..n), or zero if there is none."""
+    live = [row[:] for row in rows]
+    for col in range(len(rows[0])):
+        pivot = None if col + 1 in support else next((r for r in live if r[col]), None)
+        if pivot is not None:
+            live.remove(pivot)
+            live = [[pivot[col] * x - r[col] * y for x, y in zip(r, pivot)] for r in live]
+    return next((r for r in live if any(r)), [0] * len(rows[0]))
 
-    The degenerating rows are built from full-length vectors (a pair
-    reuses one deleted-entry vector, a triple uses u1, u2 and their
-    elimination w = u2 - e*u1) and the remaining rows reuse one shared
-    vector per propagator.  Each member must vanish on its own factor,
-    have full rank k, and span the same row space as every other.
+
+def _boundary_vectors(g: CancellationGroup) -> dict[Propagator, dict[int, Polynomial]]:
+    """The row vector of every propagator of the group at its boundary point.
+
+    Entries are polynomials in fresh indeterminates x[0, i].  A pair
+    gives both moved propagators one deleted-entry vector; a triple
+    builds u1, u2 and their elimination w = u2 - e*u1; every other
+    propagator gets its own vector on its full support.
     """
     n = g.members[0].diagram.n
-    k = g.members[0].diagram.k
-    special: dict[Propagator, dict[int, Fraction]]
+    fresh = (Polynomial.variable(VarId(0, i)) for i in itertools.count())
     if g.kind == "pair":
         m1, m2 = g.members
         p = m1.diagram.props[m1.factor.rows[0] - 1]
@@ -466,73 +478,74 @@ def _row_space_trial(g: CancellationGroup, rng) -> None:
         s2 = set(m2.diagram.support(q)) - {m2.factor.cols[0]}
         if s1 != s2:
             raise InconsistencyError(f"limit supports differ: {sorted(s1)} vs {sorted(s2)}")
-        lim = {c: rand_fraction(rng) for c in sorted(s1)}
-        special = {p: lim, q: lim}
+        lim = {c: next(fresh) for c in sorted(s1)}
+        vectors = {p: lim, q: lim}
         rest_props = [x for x in m1.diagram.props if x != p]
         if sorted(rest_props) != sorted(x for x in m2.diagram.props if x != q):
             raise InconsistencyError("pair members disagree off the moved propagator")
     else:
         base = _group_base(g)
         e, near, far, j, k_far = quad_geometry(base.diagram, base.factor)
-        a = rand_fraction(rng)
-        b = rand_fraction(rng)
-        c = rand_fraction(rng)
-        d = rand_fraction(rng)
-        esc = rand_fraction_excluding(rng, {Fraction(1)})
-        gg = rand_fraction(rng)
-        hh = rand_fraction(rng)
-        if g.kind == "narrow":
-            # w must keep its middle entry nonzero
-            while gg - esc * d == 0:
-                gg = rand_fraction(rng)
+        a, b, c, d, esc, gg, hh = itertools.islice(fresh, 7)
         u1 = {e: a, cyc(e + 1, n): b, j: c, cyc(j + 1, n): d}
         u2 = {e: a * esc, cyc(e + 1, n): b * esc, k_far: gg, cyc(k_far + 1, n): hh}
-        w = {
-            col: u2.get(col, Fraction(0)) - esc * u1.get(col, Fraction(0))
-            for col in set(u1) | set(u2)
-        }
-        w = {col: val for col, val in w.items() if val != 0}
-        special = {near: u1, far: u2}
+        w = {col: u2.get(col, 0) - esc * u1.get(col, 0) for col in sorted(set(u1) | set(u2))}
+        w = {col: val for col, val in w.items() if not val.is_zero()}
+        vectors = {near: u1, far: u2}
         if g.kind == "wide":
-            special[Propagator.of(j, k_far)] = w
+            vectors[Propagator.of(j, k_far)] = w
         else:
-            special[Propagator.of(j, cyc(j + 2, n))] = w
-            special[Propagator.of(cyc(j - 1, n), cyc(j + 1, n))] = w
+            vectors[Propagator.of(j, cyc(j + 2, n))] = w
+            vectors[Propagator.of(cyc(j - 1, n), cyc(j + 1, n))] = w
         rest_props = [x for x in base.diagram.props if x not in (near, far)]
-
-    rest: dict[Propagator, dict[int, Fraction]] = {}
     for x in rest_props:
-        cols = sorted(vertex_support(x, n))
-        rest[x] = {c: rand_fraction(rng) for c in cols}
+        vectors[x] = {c: next(fresh) for c in sorted(vertex_support(x, n))}
+    return vectors
 
-    grids = []
+
+def _reach(g: CancellationGroup, limits, n: int, k: int, rng) -> None:
+    """Every member reaches the limit point of every other member.
+
+    A member's limit point is its own symbolic limit rows at one integer
+    point.  Another member reaches it when the point's row space holds,
+    for each of that member's limit supports (a quadratic's far row in
+    its eliminated display form), a vector vanishing off the support,
+    and those k vectors have rank k: its limit parametrization then
+    passes through the point.
+    """
+    for ma, (_, _, rows_a) in zip(g.members, limits):
+        X = specialize(rows_a, n, {}, rng)
+        for mb, (_, supports_b, _) in zip(g.members, limits):
+            if mb is not ma and mat_rank([_within(X, S) for S in supports_b]) != k:
+                raise InconsistencyError(f"{mb.token()} does not reach the limit of {ma.token()}")
+
+
+def _row_space_trial(g: CancellationGroup, limits, n: int, k: int, rng) -> None:
+    """All members meet the one boundary point of :func:`_boundary_vectors`.
+
+    The vectors must not leak outside any member's supports and must
+    make each member's factor vanish, both as polynomial identities.
+    Each member's grid must have rank k at one integer point, which
+    proves generic rank k, because rank only drops under
+    specialization.  Run once per group.
+    """
+    vectors = _boundary_vectors(g)
+    numeric = dict(zip(vectors, specialize(vectors.values(), n, {}, rng)))
     for m in g.members:
         W = m.diagram
-        grid = []
-        assignment: dict[VarId, Fraction] = {}
-        for r0, prop in enumerate(W.props, start=1):
-            if prop in special:
-                vec = special[prop]
-            elif prop in rest:
-                vec = rest[prop]
-            else:
+        for prop in W.props:
+            if prop not in vectors:
                 raise InconsistencyError(f"no value vector for {prop} in {W}")
-            supp = set(W.support(prop))
-            leak = [col for col, val in vec.items() if val != 0 and col not in supp]
+            leak = sorted(set(vectors[prop]) - set(W.support(prop)))
             if leak:
                 raise InconsistencyError(f"value map leaks outside {prop} at columns {leak}")
-            grid.append([vec.get(col, Fraction(0)) for col in range(1, n + 1)])
-            for col in sorted(supp):
-                assignment[VarId(r0, col)] = vec.get(col, Fraction(0))
-        value = m.factor.polynomial().evaluate(assignment)
-        if value != 0:
-            raise InconsistencyError(f"factor {m.factor.label()} evaluates to {value} at the limit")
-        if mat_rank(grid) != k:
+        f = m.factor
+        minor = [[vectors[W.props[r - 1]].get(c, Polynomial()) for c in f.cols] for r in f.rows]
+        value = poly_det(minor)
+        if not value.is_zero():
+            raise InconsistencyError(f"{f.label()} of {W} does not vanish at the limit: {value}")
+        if mat_rank([numeric[prop] for prop in W.props]) != k:
             raise InconsistencyError(f"limit matrix of {W} does not have rank {k}")
-        grids.append(grid)
-    # each member has rank k, so they share one row space iff the stack does
-    if mat_rank([row for grid in grids for row in grid]) != k:
-        raise InconsistencyError("members meet the boundary in different row spaces")
 
 
 @functools.lru_cache(maxsize=4)
@@ -551,28 +564,30 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
 
     Checks: the limit matroids of all members agree (bases, necklace,
     reverse necklace; pairs also literally share limit supports), the
-    boundary cell has dimension 3k-1, the weights sum to zero, sampled
-    limit points give identical row spaces, and pairs satisfy the exact
-    localization sign identity on every twistor sample of
-    :func:`sign_samples`, one set shared by all pairs of the amplitude.
+    boundary cell has dimension 3k-1, the weights sum to zero, the
+    members reach each other's limits and meet one boundary point
+    (:func:`_reach` and :func:`_row_space_trial`, exact and run once),
+    and pairs satisfy the exact localization sign identity on every
+    twistor sample of :func:`sign_samples`, one set shared by all pairs
+    of the amplitude.  ``trials`` counts only those sign samples,
+    ``max(3, trials)`` of them.
     """
     if trials < 1:
         raise StructuralError(f"verify_group needs at least one trial, got {trials}")
     checks: list[tuple[str, bool]] = []
     failures: list[str] = []
-    key = "|".join(g.key())
     k = g.members[0].diagram.k
     n = g.members[0].diagram.n
     if any(m.diagram.k != k or m.diagram.n != n for m in g.members):
         raise StructuralError("group members live on different ground data")
 
     limits = [_member_limit(m) for m in g.members]
-    rank_ok = all(M.k == k for M, _ in limits)
+    rank_ok = all(M.k == k for M, _, _ in limits)
     checks.append(("limit_rank", rank_ok))
     bases_ok = neck_ok = rev_ok = False
     if rank_ok:
         # necklace entries are listed in shifted order, so tuples compare as sets
-        cells = [(M.bases(), tuple(necklace(M)), tuple(reverse_necklace(M))) for M, _ in limits]
+        cells = [(M.bases(), tuple(necklace(M)), tuple(reverse_necklace(M))) for M, _, _ in limits]
         bases0, neck0, rev0 = cells[0]
         bases_ok = all(bases == bases0 for bases, _, _ in cells)
         neck_ok = all(neck == neck0 for _, neck, _ in cells)
@@ -623,15 +638,14 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     if not weight_ok:
         failures.append("weights do not sum to zero")
 
-    rng = seeded_rng(seed, "rowspace", key)
+    rng = seeded_rng(seed, "rowspace", "|".join(g.key()))
     rows_ok = True
-    for t in range(trials):
+    for part in (_reach, _row_space_trial):
         try:
-            _row_space_trial(g, rng)
+            part(g, limits, n, k, rng)
         except InconsistencyError as exc:
             rows_ok = False
-            failures.append(f"row space trial {t}: {exc}")
-            break
+            failures.append(f"row space: {exc}")
     checks.append(("row_space_match", rows_ok))
 
     if g.kind == "pair":

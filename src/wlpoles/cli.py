@@ -247,7 +247,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("-k", type=int, required=True, help="number of propagators")
             p.add_argument("-n", type=int, required=True, help="number of boundary vertices")
         p.add_argument("--seed", type=int, default=0, help="master seed for all sampling")
-        p.add_argument("--trials", type=positive_int, default=10, help="sampled checks per certificate")
+        p.add_argument("--trials", type=positive_int, default=10, help="pair sign samples: max(3, trials)")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--force", action="store_true", help="lift the n cap")

@@ -484,6 +484,30 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return expand(0, tuple(range(n)))
 
 
+def specialize(
+    rows: Iterable[Mapping[int, Polynomial]], n: int, point: dict[VarId, int], rng
+) -> list[list[Scalar]]:
+    """Rows of polynomials keyed by column 1..n, as full rows at ``point``.
+
+    A variable not yet in ``point`` gets one draw ``rng.randint(1, 2**30)``.
+    Integer coefficients stay ints, so integer polynomials give integer
+    rows without building a Fraction.
+    """
+    out = []
+    for row in rows:
+        vals = [0] * n
+        for c, poly in row.items():
+            for mono, coef in poly.terms.items():
+                term = coef.numerator if coef.denominator == 1 else coef
+                for var, exp in mono:
+                    if var not in point:
+                        point[var] = rng.randint(1, 1 << 30)
+                    term *= point[var] ** exp
+                vals[c - 1] += term
+        out.append(vals)
+    return out
+
+
 def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those lcms."""
     out = []

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InconsistencyError, StructuralError
-from .exact import Polynomial, VarId, mat_rank, poly_det
+from .exact import Polynomial, VarId, mat_rank, poly_det, specialize
 from .sampling import seeded_rng
 
 _STRUCTURE_LIMIT = 16  # flat/connectivity enumeration is 2^n
@@ -245,27 +245,14 @@ class MatrixMatroid(Matroid):
         self.rows = tuple(
             {c: p for c, p in row.items() if not p.is_zero()} for row in rows
         )
+        # one integer probe point, and the probe matrix over all n
+        # columns evaluated once; a rank query only selects its columns
+        self._probe: dict[VarId, int] = {}
         rng = seeded_rng(104729, "matrixmatroid", n, len(self.rows))
-        vals: dict[VarId, Fraction] = {}
-        for row in self.rows:
-            for p in row.values():
-                for var in p.variables():
-                    if var not in vals:
-                        vals[var] = Fraction(
-                            rng.randint(1, 10**6), rng.randint(1, 10**6)
-                        )
-        self._probe = vals
+        self._probe_rows = specialize(self.rows, n, self._probe, rng)
 
-    def _numeric_rows(self, cols: Sequence[int]) -> list[list[Fraction]]:
-        out = []
-        for row in self.rows:
-            out.append(
-                [
-                    row[c].evaluate(self._probe) if c in row else Fraction(0)
-                    for c in cols
-                ]
-            )
-        return out
+    def _numeric_rows(self, cols: Sequence[int]) -> list[list]:
+        return [[row[c - 1] for c in cols] for row in self._probe_rows]
 
     def _rank(self, mask: int) -> int:
         cols = [v + 1 for v in range(self.n) if mask >> v & 1]

@@ -123,6 +123,10 @@ class RPolynomial:
     provenance: str
 
     def factor_set(self) -> frozenset[PoleFactor]:
+        return self._factor_set
+
+    @functools.cached_property  # built once: the guards ask it per factor
+    def _factor_set(self) -> frozenset[PoleFactor]:
         return frozenset(self.factors)
 
 

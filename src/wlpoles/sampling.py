@@ -30,15 +30,6 @@ def rand_fraction(rng: random.Random, lo: int = 1, hi: int = 1000) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(lo, hi))
 
 
-def rand_fraction_excluding(
-    rng: random.Random, avoid: set[Fraction], lo: int = 1, hi: int = 1000
-) -> Fraction:
-    while True:
-        x = rand_fraction(rng, lo, hi)
-        if x not in avoid:
-            return x
-
-
 @dataclass(frozen=True)
 class TwistorData:
     """External data: n twistor rows plus one gauge row, all exact.
