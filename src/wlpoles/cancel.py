@@ -90,6 +90,13 @@ def _localized_row(p: Propagator, Z: TwistorData) -> tuple[Fraction, tuple[tuple
     return hit
 
 
+def _require_shape(W: WilsonLoopDiagram, Z: TwistorData) -> None:
+    if Z.n != W.n:
+        raise StructuralError(f"twistor data has n={Z.n}, diagram needs n={W.n}")
+    if Z.width != W.k + 4:
+        raise StructuralError(f"twistor width {Z.width}, diagram needs k+4={W.k + 4}")
+
+
 def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
     """Evaluate every matrix entry of W on twistor data, exactly.
 
@@ -98,10 +105,7 @@ def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
     entry x[r, m] replaces the slot of vertex m by the gauge row Z_0.
     Degenerate data (a vanishing gauge minor) is rejected.
     """
-    if Z.n != W.n:
-        raise StructuralError(f"twistor data has n={Z.n}, diagram needs n={W.n}")
-    if Z.width != W.k + 4:
-        raise StructuralError(f"twistor width {Z.width}, diagram needs k+4={W.k + 4}")
+    _require_shape(W, Z)
     out: dict[VarId, Fraction] = {}
     for r0, p in enumerate(W.props, start=1):
         d0, entries = _localized_row(p, Z)
@@ -109,6 +113,12 @@ def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
         for m, value in entries:
             out[VarId(r0, m)] = value
     return out
+
+
+def _localized_entry(W: WilsonLoopDiagram, Z: TwistorData, row: int, col: int) -> Fraction:
+    """``localize(W, Z)[VarId(row, col)]`` for a vertex ``col``, from its row alone."""
+    _require_shape(W, Z)
+    return dict(_localized_row(W.props[row - 1], Z)[1])[col]
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +660,11 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
 
     if g.kind == "pair":
         sign_ok = True
-        m1, m2 = g.members
         for t, Z in enumerate(sign_samples(k, n, seed, max(3, trials))):
-            a1 = localize(m1.diagram, Z)
-            a2 = localize(m2.diagram, Z)
-            v1 = a1[VarId(m1.factor.rows[0], m1.factor.cols[0])]
-            v2 = a2[VarId(m2.factor.rows[0], m2.factor.cols[0])]
+            v1, v2 = (
+                _localized_entry(m.diagram, Z, m.factor.rows[0], m.factor.cols[0])
+                for m in g.members
+            )
             if v1 == 0 or v1 != -v2:
                 sign_ok = False
                 failures.append(f"sign identity fails at twistor sample {t}: {v1} vs {v2}")

@@ -12,6 +12,7 @@ through the density conditions rather than rejected up front.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -31,10 +32,11 @@ class Propagator(NamedTuple):
     e2: int
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)  # interned: one shared tuple per pair
     def of(a: int, b: int) -> "Propagator":
         if a == b:
             raise StructuralError(f"propagator ends on one edge: ({a},{b})")
-        return Propagator(min(a, b), max(a, b))
+        return Propagator(a, b) if a < b else Propagator.of(b, a)
 
     def __str__(self) -> str:
         return f"({self.e1},{self.e2})"

@@ -107,32 +107,40 @@ class PoleFactor:
         raise StructuralError(f"unknown factor kind {data!r}")
 
 
+# Interned: memoized R values share one factor per argument tuple (~100s per n).
+@functools.lru_cache(maxsize=None)
 def pole_var(row: int, col: int, edge: int | None = None) -> PoleFactor:
     return PoleFactor("var", (row,), (col,), edge=edge)
 
 
+@functools.lru_cache(maxsize=None)
 def pole_quad(ra: int, rb: int, c1: int, c2: int, edge: int | None = None) -> PoleFactor:
     rows = tuple(sorted((ra, rb)))
     cols = tuple(sorted((c1, c2)))
     return PoleFactor("quad", rows, cols, edge=edge)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RPolynomial:
+    """The sorted distinct prime factors of R and the route that found them.
+    Slotted, with the factor set the guards ask per factor built once, in a
+    slot left out of comparison and hashing."""
+
     factors: tuple[PoleFactor, ...]
     provenance: str
+    _factor_set: frozenset[PoleFactor] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_factor_set", frozenset(self.factors))
 
     def factor_set(self) -> frozenset[PoleFactor]:
         return self._factor_set
 
-    @functools.cached_property  # built once: the guards ask it per factor
-    def _factor_set(self) -> frozenset[PoleFactor]:
-        return frozenset(self.factors)
 
-
-# Bounded: the guards revisit one diagram and its few partners at a time,
-# and a memo over every diagram of a run grows peak RSS past its budget.
-@functools.lru_cache(maxsize=16)
+# Shape-sized: room for every diagram of (3, 9) (825) and (4, 9) (1,485), so
+# each R is computed once per shape, and still bounded across a sweep.  An
+# entry holds interned factors only, about 1 KB.
+@functools.lru_cache(maxsize=2048)
 def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
     """Per-edge product form of R.
 

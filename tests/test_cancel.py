@@ -7,6 +7,7 @@ import pytest
 
 import wlpoles.cancel
 from wlpoles.cancel import (
+    _localized_entry,
     amplitude_report,
     classify,
     consecutive_base,
@@ -109,6 +110,30 @@ def test_localize_rejects_shape_mismatch():
         localize(W42, twistor_data(2, 7, seed=0))
     with pytest.raises(StructuralError):
         localize(W42, twistor_data(1, 6, seed=0))
+
+
+def test_localized_entry_rejects_shape_mismatch():
+    for Z in (twistor_data(2, 7, seed=0), twistor_data(1, 6, seed=0)):
+        with pytest.raises(StructuralError):
+            _localized_entry(W42, Z, 1, 1)
+
+
+def test_sign_check_entry_matches_localize():
+    """The sign check reads one localized entry per member; it is the one
+    ``localize`` gives, for every pair member on every sign sample at (2, 7)."""
+    sign_samples.cache_clear()
+    try:
+        rep = amplitude_report(2, 7, seed=0, trials=10)
+        samples = sign_samples(2, 7, 0, 10)
+    finally:
+        sign_samples.cache_clear()
+    members = [m for g in rep.groups if g.kind == "pair" for m in g.members]
+    assert members
+    for Z in samples:
+        for m in members:
+            row, col = m.factor.rows[0], m.factor.cols[0]
+            want = localize(m.diagram, Z)[VarId(row, col)]
+            assert _localized_entry(m.diagram, Z, row, col) == want
 
 
 # -- classification ---------------------------------------------------------

@@ -1,9 +1,13 @@
 """Pole polynomial routes, codimension classification, boundary certificates."""
 
+import random
+import tracemalloc
+
 import pytest
 
+from wlpoles.cancel import CASE1A, CASE3A, classify, partners
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, edge_order, enumerate_diagrams
-from wlpoles.errors import StructuralError
+from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import Polynomial, VarId
 from wlpoles.poles import (
     _factor_keys,
@@ -11,6 +15,7 @@ from wlpoles.poles import (
     CODIM_GE2,
     CODIM_ONE,
     PoleFactor,
+    RPolynomial,
     boundary_without_pole,
     check_r_equalities,
     factor_codim,
@@ -207,3 +212,60 @@ def test_pattern_memo_holds_seven_patterns_at_k2():
         for W in enumerate_diagrams(2, n):
             assert check_r_equalities(W).ok
     assert _pattern_factor_keys.cache_info().currsize == 7
+
+
+def test_r_memo_computes_each_diagram_once_per_shape():
+    """The front-half calls over every (3, 8) diagram, partners included,
+    compute R once per diagram, whatever the visit order."""
+    order = enumerate_diagrams(3, 8)
+    random.Random(5).shuffle(order)
+    r_poly_edge.cache_clear()
+    try:
+        for W in order:
+            assert check_r_equalities(W).ok
+            for f in r_poly_edge(W).factors:
+                tag = classify(W, f)
+                if factor_codim(W, f) != CODIM_ONE or tag in (CASE1A, CASE3A):
+                    continue
+                try:
+                    partners(W, f)
+                except (InconsistencyError, StructuralError):
+                    pass  # the k = 3 partner gaps
+        assert r_poly_edge.cache_info().misses == len(order) == 300
+    finally:
+        r_poly_edge.cache_clear()
+
+
+def test_factors_and_propagators_are_interned():
+    assert pole_var(1, 2, edge=3) is pole_var(1, 2, edge=3)
+    assert pole_quad(1, 2, 3, 4) is pole_quad(1, 2, 3, 4)
+    assert Propagator.of(5, 2) is Propagator.of(2, 5)
+    assert WilsonLoopDiagram(8, ((5, 2),)).props[0] is Propagator.of(2, 5)
+
+
+def test_r_polynomial_equality_ignores_factor_set():
+    R = r_poly_edge(W42)
+    twin = RPolynomial(R.factors, R.provenance)
+    object.__setattr__(twin, "_factor_set", frozenset())
+    assert twin == R and hash(twin) == hash(R)
+    assert "_factor_set" not in repr(R)
+    assert not hasattr(R, "__dict__")
+
+
+def test_r_value_fits_its_memo_budget():
+    """A computed R at (3, 8), factor set built, holds interned factors only:
+    about 0.9 KB, against about 3 KB with a fresh copy of every factor."""
+    compute = r_poly_edge.__wrapped__
+    diagrams = enumerate_diagrams(3, 8)
+    for W in diagrams:  # the interned factors exist before measuring
+        compute(W).factor_set()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        values = [compute(W) for W in diagrams]
+        for R in values:
+            R.factor_set()
+        per_value = (tracemalloc.get_traced_memory()[0] - before) / len(values)
+    finally:
+        tracemalloc.stop()
+    assert per_value < 1500
