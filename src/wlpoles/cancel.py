@@ -37,11 +37,11 @@ from .exact import Polynomial, VarId, mat_det, mat_rank, poly_det, specialize
 from .matroids import Matroid, MatrixMatroid, TransversalMatroid
 from .poles import (
     CODIM_GE2,
-    CODIM_ONE,
     PoleFactor,
     check_r_equalities,
     factor_codim,
     limit_rows,
+    limit_supports,
     pole_quad,
     pole_var,
     quad_geometry,
@@ -428,28 +428,22 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
 
 
 def _member_limit(m: GroupMember) -> tuple[Matroid, tuple[frozenset[int], ...], list[dict]]:
-    """Limit matroid of a member, displayable limit supports, symbolic limit rows.
+    """Limit matroid of a member, its limit supports, symbolic limit rows.
 
-    A vanishing single entry deletes one element from its row, and the
-    transversal matroid of the reduced supports is exact.  A vanishing
-    quadratic makes the far row proportional to the near row on the
-    shared edge; the matroid of the symbolic one-parameter limit matrix
-    is taken exactly, and the far row is displayed in eliminated form.
+    The supports are :func:`limit_supports`.  A vanishing single entry
+    leaves generic rows on them, and their transversal matroid is exact.
+    A vanishing quadratic makes the far row proportional to the near row
+    on the shared edge; the matroid of that one-parameter symbolic limit
+    matrix is taken exactly.
     """
     W, f = m.diagram, m.factor
-    supports = W.supports()
+    supports = limit_supports(W, f)
     if f.kind == "var":
-        rows = list(supports)
-        rows[f.rows[0] - 1] = rows[f.rows[0] - 1] - {f.cols[0]}
-        generic = [{c: Polynomial.variable(VarId(r, c)) for c in V} for r, V in enumerate(rows, 1)]
-        return TransversalMatroid(W.n, rows), tuple(rows), generic
+        generic = [{c: Polynomial.variable(VarId(r, c)) for c in V} for r, V in enumerate(supports, 1)]
+        return TransversalMatroid(W.n, supports), supports, generic
     e, near, far, _, _ = quad_geometry(W, f)
-    p_row = W.props.index(near) + 1
-    q_row = W.props.index(far) + 1
-    lam = limit_rows(supports, W.n, p_row, q_row, e)
-    display = list(supports)
-    display[q_row - 1] = (supports[p_row - 1] | supports[q_row - 1]) - {e, cyc(e + 1, W.n)}
-    return MatrixMatroid(W.n, lam), tuple(display), lam
+    lam = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
+    return MatrixMatroid(W.n, lam), supports, lam
 
 
 def _group_base(g: CancellationGroup) -> GroupMember:
@@ -574,9 +568,10 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
 
     Checks: the limit matroids of all members agree (bases, necklace,
     reverse necklace; pairs also literally share limit supports), the
-    boundary cell has dimension 3k-1, the weights sum to zero, the
-    members reach each other's limits and meet one boundary point
-    (:func:`_reach` and :func:`_row_space_trial`, exact and run once),
+    base member's limit supports pass the minimality rule of
+    ``factor_codim`` (a boundary cell of dimension 3k-1), the weights
+    sum to zero, the members reach each other's limits and meet one
+    boundary point (:func:`_reach` and :func:`_row_space_trial`, exact and run once),
     and pairs satisfy the exact localization sign identity on every
     twistor sample of :func:`sign_samples`, one set shared by all pairs
     of the amplitude.  ``trials`` counts only those sign samples,
@@ -617,13 +612,9 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     boundary = None
     dim_ok = False
     if rank_ok:
-        if g.kind == "wide":
-            base = _group_base(g)
-            dim_ok = factor_codim(base.diagram, base.factor) == CODIM_ONE
-        else:
-            var_index = next(i for i, m in enumerate(g.members) if m.factor.kind == "var")
-            dim_ok = is_minimal(limits[var_index][1], n).dimension == 3 * k - 1
+        # the codimension rule of factor_codim, on the base member's supports
         base_index = g.members.index(_group_base(g))
+        dim_ok = is_minimal(limits[base_index][1], n).minimal
         _, neck, rev = cells[base_index]
         boundary = CellDescriptor(
             k=k,

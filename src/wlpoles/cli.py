@@ -250,7 +250,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=positive_int, default=10, help="pair sign samples: max(3, trials)")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--force", action="store_true", help="lift the n cap")
+        if need_kn:
+            p.add_argument("--force", action="store_true", help="lift the n cap")
 
     en = sub.add_parser("enumerate", help="list all admissible diagrams at (k, n)")
     common(en, need_kn=True)

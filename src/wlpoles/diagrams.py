@@ -131,14 +131,6 @@ def propagator_flat(P: Iterable[Propagator], W: WilsonLoopDiagram) -> frozenset[
     return frozenset(range(1, W.n + 1)) - covered
 
 
-def props_on(S: Iterable[int], W: WilsonLoopDiagram) -> tuple[Propagator, ...]:
-    """Propagators whose support meets the vertex set S."""
-    vs = set(S)
-    return tuple(
-        p for p in W.props if vs & set(vertex_support(p, W.n, strict=False))
-    )
-
-
 def crossing(p: Propagator, q: Propagator) -> bool:
     """True when the two propagators interleave around the circle.
 

@@ -7,8 +7,11 @@ Their agreement is a checkable invariant, not an assumption.  A
 necklace minor depends only on the row supports restricted to its
 columns, so minors are factored once per support pattern and the
 factors mapped back to the columns.  The module also classifies each
-factor's vanishing locus by codimension and certifies boundary cells
-that no factor vanishes on.
+factor's vanishing locus by codimension, with one rule for single
+entries and quadratics alike: codimension one iff the factor's limit
+set system is minimal (checked against the case tags on all 39,770
+factors at k <= 4, n <= 9).  It certifies boundary cells that no
+factor vanishes on.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .diagrams import (
     Propagator,
@@ -30,7 +33,7 @@ from .diagrams import (
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
 from .exact import Polynomial, VarId, structured_factorize
 from .matrices import SymbolicMatrix
-from .matroids import MatrixMatroid, TransversalMatroid, is_cyclic_interval
+from .matroids import TransversalMatroid, is_cyclic_interval
 from .positroids import (
     diagram_matrix,
     diagram_matroid,
@@ -314,37 +317,6 @@ def limit_rows(
     return rows
 
 
-def span_growth(
-    rows: Sequence[Mapping[int, Polynomial]],
-    n: int,
-    dependent: tuple[int, int, int] | None = None,
-) -> bool:
-    """Whether adding any row to any proper row subset grows the span.
-
-    Two failure modes exist and both are checked exactly.  A symbolic
-    rank below the row count exhibits a dependent subset directly.
-    With the (p, q, e) dependency imposed, combinations of rows p and
-    q additionally sweep out every vector supported on
-    (V_p u V_q) - {e, e+1}, so any third row living inside that
-    support adds nothing to the span of {p, q} even at full rank.
-    """
-    k = len(rows)
-    if k == 0:
-        raise StructuralError("span growth needs at least one row")
-    M = MatrixMatroid(n, rows)
-    if M.rank_mask(M.ground_mask) < k:
-        return False
-    if dependent is not None:
-        p_row, q_row, e = dependent
-        cancel = (set(rows[p_row - 1]) | set(rows[q_row - 1])) - {e, cyc(e + 1, n)}
-        for j0, row in enumerate(rows, start=1):
-            if j0 in (p_row, q_row):
-                continue
-            if set(row) <= cancel:
-                return False
-    return True
-
-
 def quad_geometry(
     W: WilsonLoopDiagram, f: PoleFactor
 ) -> tuple[int, Propagator, Propagator, int, int]:
@@ -371,45 +343,39 @@ def quad_geometry(
     return e, near, far_p, j_far, k_far
 
 
-def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
-    """Codimension of the factor's vanishing locus inside the cell closure.
+def limit_supports(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[frozenset[int], ...]:
+    """Row supports of the set system the factor's vanishing locus lands on.
 
-    Single entries: delete the entry and re-test minimality of the
-    reduced system at rank k; exactly one dimension is lost iff the
-    test passes.  Quadratics on far ends (j, k): codimension one iff
-    (j, k) is not already a propagator, cross-checked against the
-    span-growth criterion on the degenerate symbolic matrix.
+    A single entry x[p, v] drops v from row p.  A quadratic on edge e
+    makes the far row proportional to the near row on {e, e+1};
+    eliminating those two columns leaves the far row supported on
+    (V_near u V_far) - {e, e+1}.  This is the only place a factor's
+    limit set system is built.  :func:`factor_codim` calls the factor
+    codimension one iff this system is minimal, a rule checked against
+    the case tags on every factor at k <= 4, n <= 9.
     """
     if f not in r_poly_edge(W).factor_set():
         raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
-    supports = W.supports()
-    n, k = W.n, W.k
-
+    rows = W.supports()
     if f.kind == "var":
-        row, col = f.rows[0], f.cols[0]
-        reduced = [set(V) for V in supports]
-        reduced[row - 1].discard(col)
-        report = is_minimal(reduced, n)
-        one = report.minimal and report.dimension == 3 * k - 1
-        return CODIM_ONE if one else CODIM_GE2
-
-    e, near, far_p, j_far, k_far = quad_geometry(W, f)
-    narrow = (k_far - j_far) % n == 1
-    if narrow:
-        combinatorial = True
+        rows[f.rows[0] - 1] -= {f.cols[0]}
     else:
-        r = Propagator.of(j_far, k_far)
-        combinatorial = r not in W.props
-    p_row = W.props.index(near) + 1
-    q_row = W.props.index(far_p) + 1
-    rows = limit_rows(supports, n, p_row, q_row, e)
-    grows = span_growth(rows, n, dependent=(p_row, q_row, e))
-    if grows != combinatorial:
-        raise InconsistencyError(
-            f"span growth {grows} disagrees with propagator test"
-            f" {combinatorial} for {f.label()} on {W}"
-        )
-    return CODIM_ONE if combinatorial else CODIM_GE2
+        e, near, far, _, _ = quad_geometry(W, f)
+        far_row = W.props.index(far)
+        rows[far_row] = (rows[W.props.index(near)] | rows[far_row]) - {e, cyc(e + 1, W.n)}
+    return tuple(rows)
+
+
+def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
+    """Codimension of the factor's vanishing locus inside the cell closure.
+
+    One rule for both kinds: codimension one iff the factor's limit set
+    system (:func:`limit_supports`) is minimal in the subset-inequality
+    sense of :func:`is_minimal`, else codimension >= 2.  On every factor
+    at k <= 4, n <= 9 (39,770 of them) this gives codimension >= 2
+    exactly for the case tags 1a and 3a of ``cancel.classify``.
+    """
+    return CODIM_ONE if is_minimal(limit_supports(W, f), W.n).minimal else CODIM_GE2
 
 
 @dataclass(frozen=True)

@@ -183,9 +183,8 @@ def diagram_matrix(W: WilsonLoopDiagram) -> SymbolicMatrix:
     return matrix_from_sets(W.supports(), n=W.n)
 
 
-def diagram_cell(W: WilsonLoopDiagram, expect_positroid: bool = True) -> CellDescriptor:
-    if expect_positroid:
-        is_positroid(diagram_matroid(W), expect=True)
+def diagram_cell(W: WilsonLoopDiagram) -> CellDescriptor:
+    is_positroid(diagram_matroid(W), expect=True)
     return cell_descriptor(W.supports(), n=W.n)
 
 

@@ -20,7 +20,7 @@ from wlpoles.cancel import (
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams, vertex_support
 from wlpoles.errors import StructuralError
 from wlpoles.exact import VarId, mat_det
-from wlpoles.poles import CODIM_GE2, factor_codim, pole_quad, pole_var
+from wlpoles.poles import CODIM_GE2, CODIM_ONE, factor_codim, pole_quad, pole_var
 from wlpoles.positroids import cell_descriptor
 from wlpoles.sampling import TwistorData, twistor_data
 
@@ -362,6 +362,18 @@ def test_report_excludes_higher_codim_factors():
     assert {e.case for e in rep.excluded} == {"1a"}
     for e in rep.excluded[:4]:
         assert factor_codim(e.diagram, e.factor) == CODIM_GE2
+
+
+def test_report_flags_codim_tag_disagreement(monkeypatch):
+    """The tag/codimension cross-check can fail, and fails as data."""
+    flipped = {(W3B, pole_var(1, 3)): CODIM_ONE, (W3B, pole_var(2, 2)): CODIM_GE2}
+    monkeypatch.setattr(
+        wlpoles.cancel, "factor_codim", lambda V, f: flipped.get((V, f)) or factor_codim(V, f)
+    )
+    rep = amplitude_report(2, 6, seed=0, trials=2)
+    assert rep.status == "incomplete"
+    assert f"factor var:2:2 of {W3B} has codimension >= 2 but case 1" in rep.failures
+    assert f"factor var:1:3 of {W3B} is case 1a but codimension one" in rep.failures
 
 
 def test_report_k3_isolates_partner_failures():

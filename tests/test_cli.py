@@ -143,6 +143,15 @@ def test_force_lifts_cap(capsys):
     assert json.loads(out)["count"] == len(json.loads(out)["diagrams"])
 
 
+def test_analyze_has_no_force(tmp_path, capsys):
+    # analyze has no n cap, so there is nothing for --force to lift
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(DIAGRAM))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--force"])
+    assert exc.value.code == 2
+
+
 def test_byte_identical_runs(capsys):
     argv = ["cancel", "-k", "1", "-n", "6", "--seed", "4", "--trials", "2"]
     _, first, _ = run(capsys, *argv)

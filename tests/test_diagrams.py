@@ -14,7 +14,6 @@ from wlpoles.diagrams import (
     enumerate_diagrams,
     is_admissible,
     propagator_flat,
-    props_on,
     validate,
     valid_propagators,
     vertex_support,
@@ -150,8 +149,6 @@ def test_propagator_flat_and_props_on():
     assert propagator_flat([Propagator.of(1, 5)], W) == frozenset({5, 6})
     assert propagator_flat(W.props, W) == frozenset(range(1, 7))
     assert propagator_flat([], W) == frozenset()
-    assert props_on({3, 4}, W) == (Propagator.of(1, 3),)
-    assert props_on({1, 2}, W) == (Propagator.of(1, 3), Propagator.of(1, 5))
 
 
 def test_json_roundtrip():

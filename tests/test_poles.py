@@ -2,13 +2,13 @@
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from wlpoles.cancel import CASE1A, CASE3A, classify, partners
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, edge_order, enumerate_diagrams
 from wlpoles.errors import InconsistencyError, StructuralError
-from wlpoles.exact import Polynomial, VarId
 from wlpoles.poles import (
     _factor_keys,
     _pattern_factor_keys,
@@ -20,13 +20,13 @@ from wlpoles.poles import (
     check_r_equalities,
     factor_codim,
     limit_rows,
+    limit_supports,
     pole_quad,
     pole_var,
     quad_geometry,
     r_poly_edge,
     r_poly_necklace,
     r_poly_reverse,
-    span_growth,
     vanish_on_boundary_witness,
 )
 from wlpoles.positroids import diagram_matrix, diagram_matroid, necklace, reverse_necklace
@@ -110,26 +110,10 @@ def test_limit_rows_shape():
     # entries on the shared edge columns
     assert set(rows[0]) == {1, 2, 3, 4}
     assert set(rows[1]) == {1, 2, 5, 6}
-
-
-def test_span_growth_goldens():
-    # independent generic rows: the limit keeps full span
-    W12 = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(3, 5)))
-    generic = [
-        {c: Polynomial.variable(VarId(i, c)) for c in sorted(sup)}
-        for i, sup in enumerate(W12.supports(), start=1)
-    ]
-    assert span_growth(generic, 6)
-    # chord already present: the third row lies in the eliminated span
-    W3a = WilsonLoopDiagram(
-        7, (Propagator.of(1, 3), Propagator.of(1, 5), Propagator.of(3, 5))
-    )
-    rows = limit_rows(W3a.supports(), 7, 1, 2, 1)
-    assert not span_growth(rows, 7, dependent=(1, 2, 1))
-    # chord absent: span grows
-    Wok = WilsonLoopDiagram(7, (Propagator.of(1, 3), Propagator.of(1, 5)))
-    rows_ok = limit_rows(Wok.supports(), 7, 1, 2, 1)
-    assert span_growth(rows_ok, 7, dependent=(1, 2, 1))
+    # its limit supports eliminate the shared edge from the far row; a
+    # single entry drops its column from its row
+    assert limit_supports(W42, pole_quad(1, 2, 1, 2)) == ({1, 2, 3, 4}, {3, 4, 5, 6})
+    assert limit_supports(W42, pole_var(1, 4)) == ({1, 2, 3}, {1, 2, 5, 6})
 
 
 def test_factor_codim_goldens():
@@ -144,6 +128,36 @@ def test_factor_codim_goldens():
         7, (Propagator.of(1, 3), Propagator.of(1, 5), Propagator.of(3, 5))
     )
     assert factor_codim(W3a, pole_quad(1, 2, 1, 2)) == CODIM_GE2
+    # wide quadratic with the chord absent
+    Wok = WilsonLoopDiagram(7, (Propagator.of(1, 3), Propagator.of(1, 5)))
+    assert factor_codim(Wok, pole_quad(1, 2, 1, 2)) == CODIM_ONE
+
+
+CODIM_COUNTS = {
+    (2, 8): {("quad", CODIM_ONE): 80, ("var", CODIM_ONE): 736, ("var", CODIM_GE2): 64},
+    (3, 8): {
+        ("quad", CODIM_ONE): 472, ("quad", CODIM_GE2): 48,
+        ("var", CODIM_ONE): 2048, ("var", CODIM_GE2): 512,
+    },
+    (4, 8): {
+        ("quad", CODIM_ONE): 792, ("quad", CODIM_GE2): 216,
+        ("var", CODIM_ONE): 2112, ("var", CODIM_GE2): 1152,
+    },
+}
+
+
+def test_codim_rule_matches_case_tags():
+    """The minimality rule gives codimension >= 2 exactly on tags 1a and 3a."""
+    shapes = [(k, n) for k in range(1, 4) for n in range(k + 4, 9)] + [(4, 8)]
+    for k, n in shapes:
+        counts = Counter()
+        for W in enumerate_diagrams(k, n):
+            for f in r_poly_edge(W).factors:
+                codim = factor_codim(W, f)
+                assert (codim == CODIM_GE2) == (classify(W, f) in (CASE1A, CASE3A)), (W, f)
+                counts[f.kind, codim] += 1
+        if (k, n) in CODIM_COUNTS:
+            assert counts == CODIM_COUNTS[k, n]
 
 
 def test_factor_codim_rejects_non_factor():
