@@ -8,17 +8,16 @@ V_p - {v}, or, when that propagator would cross the diagram, joins the
 triple of a narrow quadratic; quadratics close into triples.  The match
 is certified four ways: equality of the limit matroids (bases and both
 necklaces), vanishing of the weight sum, one exact row-space certificate
-that every member reaches the others' limits and meets one boundary
-point, and, for pairs, an exact sign identity under localization on
-twistor data.  Localized rows are computed once per (propagator,
-sample).  ``amplitude_report`` runs the whole pipeline for fixed (k, n).
+that every member meets every other member's own limit point, and, for
+pairs, an exact sign identity under localization on twistor data.
+Localized rows are computed once per (propagator, sample).
+``amplitude_report`` runs the whole pipeline for fixed (k, n).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -452,104 +451,59 @@ def _group_base(g: CancellationGroup) -> GroupMember:
     return next(m for m in g.members if m.factor.kind == "quad")
 
 
-def _within(rows: list[list[int]], support: frozenset[int]) -> list[int]:
-    """A nonzero vector in the span of independent integer rows that
-    vanishes off ``support`` (columns 1..n), or zero if there is none."""
-    live = [row[:] for row in rows]
-    for col in range(len(rows[0])):
-        pivot = None if col + 1 in support else next((r for r in live if r[col]), None)
-        if pivot is not None:
-            live.remove(pivot)
-            live = [[pivot[col] * x - r[col] * y for x, y in zip(r, pivot)] for r in live]
-    return next((r for r in live if any(r)), [0] * len(rows[0]))
+def _within(rows: list[dict[int, Polynomial]], support: frozenset[int]) -> dict[int, Polynomial]:
+    """A nonzero row in the span of independent polynomial rows that
+    vanishes off ``support``, or ``{}`` if there is none.
 
-
-def _boundary_vectors(g: CancellationGroup) -> dict[Propagator, dict[int, Polynomial]]:
-    """The row vector of every propagator of the group at its boundary point.
-
-    Entries are polynomials in fresh indeterminates x[0, i].  A pair
-    gives both moved propagators one deleted-entry vector; a triple
-    builds u1, u2 and their elimination w = u2 - e*u1; every other
-    propagator gets its own vector on its full support.
+    A row already inside the support is returned as it is.  Otherwise
+    the columns off the support are eliminated one at a time,
+    fraction-free, over sparse rows that keep only nonzero entries.
     """
-    n = g.members[0].diagram.n
-    fresh = (Polynomial.variable(VarId(0, i)) for i in itertools.count())
-    if g.kind == "pair":
-        m1, m2 = g.members
-        p = m1.diagram.props[m1.factor.rows[0] - 1]
-        q = m2.diagram.props[m2.factor.rows[0] - 1]
-        s1 = set(m1.diagram.support(p)) - {m1.factor.cols[0]}
-        s2 = set(m2.diagram.support(q)) - {m2.factor.cols[0]}
-        if s1 != s2:
-            raise InconsistencyError(f"limit supports differ: {sorted(s1)} vs {sorted(s2)}")
-        lim = {c: next(fresh) for c in sorted(s1)}
-        vectors = {p: lim, q: lim}
-        rest_props = [x for x in m1.diagram.props if x != p]
-        if sorted(rest_props) != sorted(x for x in m2.diagram.props if x != q):
-            raise InconsistencyError("pair members disagree off the moved propagator")
-    else:
-        base = _group_base(g)
-        e, near, far, j, k_far = quad_geometry(base.diagram, base.factor)
-        a, b, c, d, esc, gg, hh = itertools.islice(fresh, 7)
-        u1 = {e: a, cyc(e + 1, n): b, j: c, cyc(j + 1, n): d}
-        u2 = {e: a * esc, cyc(e + 1, n): b * esc, k_far: gg, cyc(k_far + 1, n): hh}
-        w = {col: u2.get(col, 0) - esc * u1.get(col, 0) for col in sorted(set(u1) | set(u2))}
-        w = {col: val for col, val in w.items() if not val.is_zero()}
-        vectors = {near: u1, far: u2}
-        if g.kind == "wide":
-            vectors[Propagator.of(j, k_far)] = w
-        else:
-            vectors[Propagator.of(j, cyc(j + 2, n))] = w
-            vectors[Propagator.of(cyc(j - 1, n), cyc(j + 1, n))] = w
-        rest_props = [x for x in base.diagram.props if x not in (near, far)]
-    for x in rest_props:
-        vectors[x] = {c: next(fresh) for c in sorted(vertex_support(x, n))}
-    return vectors
+    for row in rows:
+        if row.keys() <= support:
+            return row
+    zero = Polynomial()
+    live = list(rows)
+    for col in sorted({c for row in rows for c in row} - support):
+        pivot = next((r for r in live if col in r), None)
+        if pivot is None:
+            continue
+        live.remove(pivot)
+        for i, r in enumerate(live):
+            if col in r:
+                cols = r.keys() | pivot.keys()
+                combined = {c: pivot[col] * r.get(c, zero) - r[col] * pivot.get(c, zero) for c in cols}
+                live[i] = {c: v for c, v in combined.items() if not v.is_zero()}
+    return next((r for r in live if r), {})
 
 
-def _reach(g: CancellationGroup, limits, n: int, k: int, rng) -> None:
-    """Every member reaches the limit point of every other member.
+def _meet(g: CancellationGroup, limits, n: int, k: int, rng) -> None:
+    """Every member meets the limit point of every other member.
 
-    A member's limit point is its own symbolic limit rows at one integer
-    point.  Another member reaches it when the point's row space holds,
-    for each of that member's limit supports (a quadratic's far row in
-    its eliminated display form), a vector vanishing off the support,
-    and those k vectors have rank k: its limit parametrization then
-    passes through the point.
+    The limit point of a member a is its own symbolic limit rows.
+    Another member b meets it when, for each propagator x of b, the
+    point's row space holds a row vanishing off x's support
+    (:func:`_within`), b's factor vanishes on those rows as a
+    polynomial identity, and the rows have rank k at one integer point,
+    which proves generic rank k, because rank only drops under
+    specialization.  The same rule serves every kind of group; each
+    (point, support) row is computed once.
     """
-    for ma, (_, _, rows_a) in zip(g.members, limits):
-        X = specialize(rows_a, n, {}, rng)
-        for mb, (_, supports_b, _) in zip(g.members, limits):
-            if mb is not ma and mat_rank([_within(X, S) for S in supports_b]) != k:
-                raise InconsistencyError(f"{mb.token()} does not reach the limit of {ma.token()}")
-
-
-def _row_space_trial(g: CancellationGroup, limits, n: int, k: int, rng) -> None:
-    """All members meet the one boundary point of :func:`_boundary_vectors`.
-
-    The vectors must not leak outside any member's supports and must
-    make each member's factor vanish, both as polynomial identities.
-    Each member's grid must have rank k at one integer point, which
-    proves generic rank k, because rank only drops under
-    specialization.  Run once per group.
-    """
-    vectors = _boundary_vectors(g)
-    numeric = dict(zip(vectors, specialize(vectors.values(), n, {}, rng)))
-    for m in g.members:
-        W = m.diagram
-        for prop in W.props:
-            if prop not in vectors:
-                raise InconsistencyError(f"no value vector for {prop} in {W}")
-            leak = sorted(set(vectors[prop]) - set(W.support(prop)))
-            if leak:
-                raise InconsistencyError(f"value map leaks outside {prop} at columns {leak}")
-        f = m.factor
-        minor = [[vectors[W.props[r - 1]].get(c, Polynomial()) for c in f.cols] for r in f.rows]
-        value = poly_det(minor)
-        if not value.is_zero():
-            raise InconsistencyError(f"{f.label()} of {W} does not vanish at the limit: {value}")
-        if mat_rank([numeric[prop] for prop in W.props]) != k:
-            raise InconsistencyError(f"limit matrix of {W} does not have rank {k}")
+    for a, (_, _, rows_a) in zip(g.members, limits):
+        found: dict[Propagator, dict[int, Polynomial]] = {}
+        point: dict[VarId, int] = {}
+        for b in g.members:
+            if b is a:
+                continue
+            W, f = b.diagram, b.factor
+            for x in W.props:
+                if x not in found:
+                    found[x] = _within(rows_a, frozenset(W.support(x)))
+            grid = [found[x] for x in W.props]
+            if not poly_det([[grid[r - 1].get(c, Polynomial()) for c in f.cols] for r in f.rows]).is_zero():
+                raise InconsistencyError(f"{f.label()} of {W} does not vanish at the limit of {a.token()}")
+            if mat_rank(specialize(grid, n, point, rng)) != k:
+                raise InconsistencyError(f"{b.token()} does not reach the limit of {a.token()}")
 
 
 @functools.lru_cache(maxsize=4)
@@ -570,12 +524,11 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     reverse necklace; pairs also literally share limit supports), the
     base member's limit supports pass the minimality rule of
     ``factor_codim`` (a boundary cell of dimension 3k-1), the weights
-    sum to zero, the members reach each other's limits and meet one
-    boundary point (:func:`_reach` and :func:`_row_space_trial`, exact and run once),
-    and pairs satisfy the exact localization sign identity on every
-    twistor sample of :func:`sign_samples`, one set shared by all pairs
-    of the amplitude.  ``trials`` counts only those sign samples,
-    ``max(3, trials)`` of them.
+    sum to zero, every member meets every other member's own limit point
+    (:func:`_meet`, exact and run once), and pairs satisfy the exact
+    localization sign identity on every twistor sample of
+    :func:`sign_samples`, one set shared by all pairs of the amplitude.
+    ``trials`` counts only those sign samples, ``max(3, trials)`` of them.
     """
     if trials < 1:
         raise StructuralError(f"verify_group needs at least one trial, got {trials}")
@@ -639,14 +592,12 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     if not weight_ok:
         failures.append("weights do not sum to zero")
 
-    rng = seeded_rng(seed, "rowspace", "|".join(g.key()))
     rows_ok = True
-    for part in (_reach, _row_space_trial):
-        try:
-            part(g, limits, n, k, rng)
-        except InconsistencyError as exc:
-            rows_ok = False
-            failures.append(f"row space: {exc}")
+    try:
+        _meet(g, limits, n, k, seeded_rng(seed, "rowspace", "|".join(g.key())))
+    except InconsistencyError as exc:
+        rows_ok = False
+        failures.append(f"row space: {exc}")
     checks.append(("row_space_match", rows_ok))
 
     if g.kind == "pair":

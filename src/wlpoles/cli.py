@@ -16,7 +16,7 @@ import sys
 from .cancel import amplitude_report, diagram_token
 from .diagrams import WilsonLoopDiagram, enumerate_diagrams, validate
 from .errors import InconsistencyError, StructuralError
-from .matroids import TransversalMatroid, structure
+from .matroids import _STRUCTURE_LIMIT, TransversalMatroid, structure
 from .poles import PoleFactor, check_r_equalities, r_poly_necklace, r_poly_reverse
 from .positroids import cell_descriptor, diagram_cell, diagram_matroid
 
@@ -173,6 +173,14 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read diagram file: {exc}", file=sys.stderr)
+        return 2
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if isinstance(n, int) and n > _STRUCTURE_LIMIT:
+        print(
+            f"error: n={n}: analyze lists the flats of the cell's matroid, "
+            f"which it enumerates only for n <= {_STRUCTURE_LIMIT}",
+            file=sys.stderr,
+        )
         return 2
     try:
         if isinstance(obj, dict) and "props" in obj:

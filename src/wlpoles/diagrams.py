@@ -81,8 +81,8 @@ class WilsonLoopDiagram:
     def k(self) -> int:
         return len(self.props)
 
-    def support(self, p: Propagator, strict: bool = True) -> tuple[int, ...]:
-        return vertex_support(p, self.n, strict=strict)
+    def support(self, p: Propagator) -> tuple[int, ...]:
+        return vertex_support(p, self.n)
 
     def supports(self) -> list[frozenset[int]]:
         """Row supports of the diagram's matrix, in row order."""

@@ -124,7 +124,7 @@ class Matroid:
 
     def flats(self) -> list[frozenset[int]]:
         if len(self.ground) > _STRUCTURE_LIMIT:
-            raise StructuralError("flat enumeration capped at 16 elements")
+            raise StructuralError(f"flat enumeration capped at {_STRUCTURE_LIMIT} elements")
         seen: set[frozenset[int]] = set()
         elems = sorted(self.ground)
         for size in range(len(elems) + 1):

@@ -95,8 +95,6 @@ def necklace_minors(
 class MinimalityReport:
     minimal: bool
     dimension: int | None
-    entries: int
-    rank: int
     violating: tuple[int, ...] | None
 
     def __bool__(self) -> bool:
@@ -107,17 +105,20 @@ def is_minimal(V: Sequence[Iterable[int]], n: int | None = None) -> MinimalityRe
     """Subset inequality test for a minimal set-system representation.
 
     Every nonempty subfamily T of rows must cover at least
-    max(|V_i|) + |T| - 1 vertices; with the generic rank equal to the
-    row count this certifies dimension = (total entries) - k.
+    max(|V_i|) + |T| - 1 vertices; then dimension = (total entries) - k.
+    No separate rank test is needed: since every row is nonempty, each
+    T then covers at least |T| vertices, which is Hall's condition, so
+    the transversal matroid has rank k.
     """
     rows = [frozenset(r) for r in V]
     if not rows or any(not r for r in rows):
         raise StructuralError("set system needs nonempty rows")
     if n is None:
         n = max(max(r) for r in rows)
+    for r in rows:
+        if any(not (1 <= v <= n) for v in r):
+            raise StructuralError(f"support {sorted(r)} outside [1, {n}]")
     k = len(rows)
-    m = sum(len(r) for r in rows)
-    rank = TransversalMatroid(n, rows).k
 
     violating = None
     for mask in range(1, 1 << k):
@@ -128,12 +129,10 @@ def is_minimal(V: Sequence[Iterable[int]], n: int | None = None) -> MinimalityRe
             violating = tuple(i + 1 for i in range(k) if mask >> i & 1)
             break
 
-    minimal = violating is None and rank == k
+    minimal = violating is None
     return MinimalityReport(
         minimal=minimal,
-        dimension=(m - k) if minimal else None,
-        entries=m,
-        rank=rank,
+        dimension=sum(len(r) for r in rows) - k if minimal else None,
         violating=violating,
     )
 

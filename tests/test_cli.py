@@ -143,8 +143,18 @@ def test_force_lifts_cap(capsys):
     assert json.loads(out)["count"] == len(json.loads(out)["diagrams"])
 
 
+@pytest.mark.parametrize("payload", [{"n": 17, "props": [[1, 3]]}, {"n": 17, "rows": [[1, 2, 3, 4]]}])
+def test_analyze_names_the_flat_limit(tmp_path, capsys, payload):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert "n=17" in err and "n <= 16" in err
+    assert "malformed" not in err
+
+
 def test_analyze_has_no_force(tmp_path, capsys):
-    # analyze has no n cap, so there is nothing for --force to lift
+    # analyze's flat limit is not a default cap, so there is nothing for --force to lift
     path = tmp_path / "d.json"
     path.write_text(json.dumps(DIAGRAM))
     with pytest.raises(SystemExit) as exc:

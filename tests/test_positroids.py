@@ -96,6 +96,35 @@ def test_is_minimal_goldens():
     assert good.dimension == 8 - 2  # 4k entries minus rank
 
 
+def parent_minimal(rows, n):
+    """The rule as it was stated before: the subset inequality holds and
+    the transversal matroid has rank equal to the row count."""
+    for size in range(1, len(rows) + 1):
+        for T in itertools.combinations(rows, size):
+            if len(frozenset().union(*T)) < max(map(len, T)) + size - 1:
+                return False
+    return TransversalMatroid(n, rows).k == len(rows)
+
+
+def test_is_minimal_needs_no_rank_test():
+    subsets = [frozenset(S) for r in range(1, 7) for S in itertools.combinations(range(1, 7), r)]
+    systems = 0
+    for size in (1, 2, 3):
+        for rows in itertools.combinations(subsets, size):
+            rep = is_minimal(rows, 6)
+            assert rep.minimal == parent_minimal(rows, 6), rows
+            assert rep.dimension == (sum(map(len, rows)) - size if rep.minimal else None)
+            systems += 1
+    assert systems == 41_727
+
+
+def test_is_minimal_rejects_support_outside_ground():
+    with pytest.raises(StructuralError):
+        is_minimal([{1, 2, 7}], 6)
+    with pytest.raises(StructuralError):
+        is_minimal([{0, 1, 2}], 6)
+
+
 def test_diagram_systems_minimal_dimension_3k():
     for k, n in ((1, 6), (2, 6), (2, 7)):
         for W in enumerate_diagrams(k, n):

@@ -1,21 +1,22 @@
 """The one-shot row-space certificate and the evaluate-once probes under it.
 
-`row_space_match` is an exact proof run once per group: a reach check
-between the members' own limits, then one shared boundary point whose
-leaks and factor vanishing are polynomial identities and whose ranks are
-taken at one integer point. `--trials` counts only the sign samples.
+`row_space_match` is an exact proof run once per group: every member
+meets every other member's own symbolic limit point. Its rows come from
+`_within`, the factor vanishing is a polynomial identity, and the rank
+is taken at one integer point. `--trials` counts only the sign samples.
 """
 
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import wlpoles.cancel
-from wlpoles.cancel import amplitude_report, partners, verify_group
+from wlpoles.cancel import _within, amplitude_report, partners, verify_group
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
-from wlpoles.exact import Polynomial, VarId, mat_rank, specialize
+from wlpoles.exact import Polynomial, VarId, mat_rank, poly_det, specialize
 from wlpoles.matroids import MatrixMatroid
-from wlpoles.poles import limit_rows, pole_quad, pole_var, quad_geometry, r_poly_edge
+from wlpoles.poles import limit_rows, limit_supports, pole_quad, pole_var, quad_geometry, r_poly_edge
 
 W42 = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(1, 5)))
 W3B = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(1, 4)))
@@ -45,25 +46,34 @@ def test_row_space_certificate_runs_once_per_group(monkeypatch):
         partners(W3B, pole_quad(1, 2, 1, 2)),  # narrow triple
     ]
     calls = []
-    trial, rank = wlpoles.cancel._row_space_trial, wlpoles.cancel.mat_rank
+    meet, within, rank = wlpoles.cancel._meet, wlpoles.cancel._within, wlpoles.cancel.mat_rank
 
-    def counted_trial(*args):
-        calls.append("trial")
-        return trial(*args)
+    def counted_meet(*args):
+        calls.append("meet")
+        return meet(*args)
+
+    def counted_within(*args):
+        calls.append("within")
+        return within(*args)
 
     def counted_rank(rows):
         calls.append("rank")
         return rank(rows)
 
-    monkeypatch.setattr(wlpoles.cancel, "_row_space_trial", counted_trial)
+    monkeypatch.setattr(wlpoles.cancel, "_meet", counted_meet)
+    monkeypatch.setattr(wlpoles.cancel, "_within", counted_within)
     monkeypatch.setattr(wlpoles.cancel, "mat_rank", counted_rank)
     seen = {}
     for trials in (1, 3, 10):
         calls.clear()
         assert all(verify_group(g, trials=trials, seed=1).verified for g in groups)
-        seen[trials] = (calls.count("trial"), calls.count("rank"))
+        seen[trials] = tuple(calls.count(c) for c in ("meet", "within", "rank"))
     assert seen[1] == seen[3] == seen[10]
     assert seen[1][0] == len(groups)
+    # one row per (limit point, propagator of the other members)
+    assert seen[1][1] == sum(
+        len({x for b in g.members if b is not a for x in b.diagram.props}) for g in groups for a in g.members
+    )
 
 
 # -- each part of row_space_match can fail -----------------------------------
@@ -71,23 +81,29 @@ def test_row_space_certificate_runs_once_per_group(monkeypatch):
 
 def test_row_space_fails_when_a_partner_column_moves():
     g = partners(W42, pole_var(1, 3))
-    base, m = g.members
+    m = g.members[1]
     row = m.diagram.props[m.factor.rows[0] - 1]
     other = next(c for c in sorted(m.diagram.support(row)) if c != m.factor.cols[0])
-    bad, moved = replace_member(g, 1, pole_var(m.factor.rows[0], other))
+    bad, _ = replace_member(g, 1, pole_var(m.factor.rows[0], other))
     checked = verify_group(bad, trials=3, seed=1)
     assert dict(checked.checks)["row_space_match"] is False
-    assert f"row space: {moved.token()} does not reach the limit of {base.token()}" in checked.failures
+    assert (
+        "row space: var:1:1 of ({(1,4),(1,5)},[6]) does not vanish at the limit of 1-3;1-5/var:1:3"
+        in checked.failures
+    )
 
 
 def test_row_space_fails_when_a_triple_column_moves():
     g = partners(W3B, pole_quad(1, 2, 1, 2))
     single = g.members[1]
     assert single.token() == "1-3;3-5/var:2:6"
-    bad, moved = replace_member(g, 1, pole_var(2, 3))
+    bad, _ = replace_member(g, 1, pole_var(2, 3))
     checked = verify_group(bad, trials=3, seed=1)
     assert dict(checked.checks)["row_space_match"] is False
-    assert f"row space: {moved.token()} does not reach the limit of {g.members[0].token()}" in checked.failures
+    assert (
+        "row space: var:2:3 of ({(1,3),(3,5)},[6]) does not vanish at the limit of 1-3;1-4/quad:1:2:1:2"
+        in checked.failures
+    )
 
 
 def test_row_space_names_a_quadratic_factor_that_does_not_vanish():
@@ -100,44 +116,58 @@ def test_row_space_names_a_quadratic_factor_that_does_not_vanish():
     checked = verify_group(bad, trials=1)
     assert dict(checked.checks)["row_space_match"] is False
     vanish = [f for f in checked.failures if "does not vanish at the limit" in f]
-    assert len(vanish) == 1
-    assert vanish[0].startswith("row space: quad:2:3:5:6 of ({(1,3),(3,5),(5,7)},[7])")
+    assert vanish == [
+        "row space: quad:2:3:5:6 of ({(1,3),(3,5),(5,7)},[7]) does not vanish"
+        " at the limit of 1-3;1-5;5-7/quad:1:2:1:2"
+    ]
 
 
-def corrupt_boundary(monkeypatch, change):
-    """Run `change(vectors, group)` on every boundary point that is built."""
-    build = wlpoles.cancel._boundary_vectors
+def test_row_space_fails_when_a_propagator_gets_no_row(monkeypatch):
+    g = partners(W42, pole_var(1, 3))
+    shared = next(x for x in g.members[0].diagram.props if x in g.members[1].diagram.props)
+    dropped = frozenset(g.members[0].diagram.support(shared))
+    within = wlpoles.cancel._within
 
-    def corrupted(g):
-        vectors = build(g)
-        change(vectors, g)
-        return vectors
+    def no_row(rows, support):
+        return {} if support == dropped else within(rows, support)
 
-    monkeypatch.setattr(wlpoles.cancel, "_boundary_vectors", corrupted)
-
-
-def test_row_space_fails_on_a_leaking_boundary_vector(monkeypatch):
-    def leak(vectors, g):
-        W = g.members[0].diagram
-        p = W.props[0]
-        outside = next(c for c in range(1, W.n + 1) if c not in W.support(p))
-        vectors[p] = {**vectors[p], outside: Polynomial.variable(VarId(0, 99))}
-
-    corrupt_boundary(monkeypatch, leak)
-    checked = verify_group(partners(W42, pole_var(1, 3)), trials=3, seed=1)
+    monkeypatch.setattr(wlpoles.cancel, "_within", no_row)
+    checked = verify_group(g, trials=3, seed=1)
     assert dict(checked.checks)["row_space_match"] is False
-    assert any(f.startswith("row space: value map leaks outside") for f in checked.failures)
+    a, b = g.members
+    assert checked.failures == (f"row space: {b.token()} does not reach the limit of {a.token()}",)
 
 
-def test_row_space_fails_on_a_rank_deficient_boundary_point(monkeypatch):
-    def drop(vectors, g):
-        shared = next(x for x in vectors if all(x in m.diagram.props for m in g.members))
-        vectors[shared] = {}  # no leak, no factor touched: only the rank drops
+# -- the rows of a limit point ------------------------------------------------
 
-    corrupt_boundary(monkeypatch, drop)
-    checked = verify_group(partners(W42, pole_var(1, 3)), trials=3, seed=1)
-    assert dict(checked.checks)["row_space_match"] is False
-    assert any("does not have rank 2" in f for f in checked.failures)
+
+def generic_rows(supports):
+    return [{c: Polynomial.variable(VarId(r, c)) for c in sorted(V)} for r, V in enumerate(supports, 1)]
+
+
+def in_span(rows, row, n):
+    """Exact: every maximal minor of ``rows`` stacked on ``row`` vanishes."""
+    grid = [[r.get(c, Polynomial()) for c in range(1, n + 1)] for r in [*rows, row]]
+    minors = ([[line[c] for c in cols] for line in grid] for cols in combinations(range(n), len(grid)))
+    return all(poly_det(minor).is_zero() for minor in minors)
+
+
+def test_within_returns_a_span_row_inside_the_support():
+    rows = generic_rows([{1, 2, 3, 4}, {3, 4, 5, 6}])
+    assert _within(rows, frozenset({2, 3, 4, 5})) == {}  # two columns to clear, two rows
+    assert _within(rows, frozenset({3, 4, 5, 6, 1})) is rows[1]  # inside as it is
+    got = _within(rows, frozenset({1, 2, 3, 5, 6}))  # column 4 eliminated
+    assert got and set(got) <= {1, 2, 3, 5, 6}
+    assert all(not v.is_zero() for v in got.values())
+    assert in_span(rows, got, 6)
+    assert not in_span(rows, {1: Polynomial.variable(VarId(9, 1))}, 6)
+    # a quadratic's limit rows: the far row's eliminated display support
+    W = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(1, 5)))
+    e, near, far, _, _ = quad_geometry(W, pole_quad(1, 2, 1, 2))
+    lam = limit_rows(W.supports(), 6, W.props.index(near) + 1, W.props.index(far) + 1, e)
+    for support in limit_supports(W, pole_quad(1, 2, 1, 2)):
+        got = _within(lam, support)
+        assert got and set(got) <= support and in_span(lam, got, 6)
 
 
 # -- evaluate once -----------------------------------------------------------
