@@ -1,15 +1,16 @@
 """Pairing of codimension-one pole factors into cancelling groups.
 
 Every codimension-one factor of the pole polynomial of an admissible
-diagram is matched with the factors of one or two neighbouring diagrams
-that share the same boundary cell.  A single entry x[p, v] pairs with the
-diagram that swaps p for the one other propagator whose support contains
-V_p - {v}, or, when that propagator would cross the diagram, joins the
-triple of a narrow quadratic; quadratics close into triples.  The match
-is certified four ways: equality of the limit matroids (bases and both
-necklaces), vanishing of the weight sum, one exact row-space certificate
-that every member meets every other member's own limit point, and, for
-pairs, an exact sign identity under localization on twistor data.
+diagram is matched with the factors of one or two neighbouring diagrams,
+each one propagator swap away (:func:`_move`), that share the same
+boundary cell.  A single entry x[p, v] pairs with the diagram that swaps
+p for the one other propagator whose support contains V_p - {v}, or,
+when that propagator would cross the diagram, joins the triple of a
+narrow quadratic; quadratics close into triples.  The match is certified
+four ways: equality of the limit matroids (bases and both necklaces), the
+recorded weights summing to zero, one exact row-space certificate that
+every member meets every other member's own limit point, and, for pairs,
+an exact sign identity under localization on twistor data.
 Localized rows are computed once per (propagator, sample).
 ``amplitude_report`` runs the whole pipeline for fixed (k, n).
 """
@@ -28,7 +29,6 @@ from .diagrams import (
     crossing,
     cyc,
     enumerate_diagrams,
-    is_admissible,
     vertex_support,
 )
 from .errors import InconsistencyError, StructuralError
@@ -265,80 +265,63 @@ def _entry_key(entry: tuple[WilsonLoopDiagram, PoleFactor]) -> tuple:
     return entry[0].props, entry[1].sort_key()
 
 
-def _swap(W: WilsonLoopDiagram, remove: Propagator, add: Propagator) -> WilsonLoopDiagram:
+def _move(W, remove, add, on, col) -> tuple[WilsonLoopDiagram, PoleFactor]:
+    """The partner entry one propagator swap away: W with ``remove``
+    replaced by ``add``, and its factor on the propagators ``on`` at
+    column ``col`` (the single entry of one propagator, or the quadratic
+    of two on edge ``col``).  The partner's R is its only admissibility
+    check, and the factor must be one of its factors.
+    """
     if add in W.props:
         raise InconsistencyError(f"partner {add} already present in {W}")
     if remove not in W.props:
         raise StructuralError(f"{remove} is not a propagator of {W}")
-    props = tuple(p for p in W.props if p != remove) + (add,)
-    W2 = WilsonLoopDiagram(W.n, props)
-    if not is_admissible(W2):
-        raise InconsistencyError(f"partner diagram {W2} is not admissible")
-    return W2
+    W2 = WilsonLoopDiagram(W.n, tuple(p for p in W.props if p != remove) + (add,))
+    try:
+        R = r_poly_edge(W2)
+    except StructuralError:
+        raise InconsistencyError(f"partner diagram {W2} is not admissible") from None
+    rows = [W2.props.index(x) + 1 for x in on]
+    f2 = pole_var(*rows, col) if len(rows) == 1 else pole_quad(*rows, col, cyc(col + 1, W.n), edge=col)
+    if f2 not in R.factor_set():
+        raise InconsistencyError(f"expected factor {f2.label()} in R({W2})")
+    return W2, f2
 
 
-def _require_factor(W: WilsonLoopDiagram, f: PoleFactor) -> None:
-    if f not in r_poly_edge(W).factor_set():
-        raise InconsistencyError(f"expected factor {f.label()} in R({W})")
+def _triple(W, f) -> tuple[tuple[WilsonLoopDiagram, PoleFactor], ...]:
+    """(base, lose-far, lose-near) entries of the triple of a quadratic.
 
-
-def _wide_entries(W, f) -> tuple[tuple[WilsonLoopDiagram, PoleFactor], ...]:
+    A wide quadratic swaps its far, then its near propagator for the
+    chord (j, k) between the far endpoints; the partners keep quadratics
+    on edges j and k.  A narrow one (k = j + 1) swaps them for the short
+    propagators (j, j+2) and (j-1, j+1), whose outer entries are the
+    partners' factors.
+    """
     n = W.n
-    e, near, far, j, k = quad_geometry(W, f)
+    _, near, far, j, k = quad_geometry(W, f)
+    if (k - j) % n == 1:
+        r = Propagator.of(j, cyc(j + 2, n))
+        s = Propagator.of(cyc(j - 1, n), cyc(j + 1, n))
+        return (W, f), _move(W, far, r, (r,), cyc(j + 3, n)), _move(W, near, s, (s,), cyc(j - 1, n))
     r = Propagator.of(j, k)
     if r in W.props:
         raise StructuralError(f"{f.label()} on {W} has codimension >= 2")
-    W2 = _swap(W, remove=far, add=r)
-    f2 = pole_quad(W2.props.index(near) + 1, W2.props.index(r) + 1, j, cyc(j + 1, n), edge=j)
-    W3 = _swap(W, remove=near, add=r)
-    f3 = pole_quad(W3.props.index(r) + 1, W3.props.index(far) + 1, k, cyc(k + 1, n), edge=k)
-    _require_factor(W2, f2)
-    _require_factor(W3, f3)
-    return ((W, f), (W2, f2), (W3, f3))
+    return (W, f), _move(W, far, r, (near, r), j), _move(W, near, r, (r, far), k)
 
 
-def _narrow_entries(W, f) -> tuple[tuple[WilsonLoopDiagram, PoleFactor], ...]:
-    n = W.n
-    e, near, far, j, k = quad_geometry(W, f)
-    if (k - j) % n != 1:
-        raise StructuralError(f"{f.label()} on {W} is not a narrow quadratic")
-    r = Propagator.of(j, cyc(j + 2, n))
-    s = Propagator.of(cyc(j - 1, n), cyc(j + 1, n))
-    W2 = _swap(W, remove=far, add=r)
-    f2 = pole_var(W2.props.index(r) + 1, cyc(j + 3, n))
-    W3 = _swap(W, remove=near, add=s)
-    f3 = pole_var(W3.props.index(s) + 1, cyc(j - 1, n))
-    _require_factor(W2, f2)
-    _require_factor(W3, f3)
-    return ((W, f), (W2, f2), (W3, f3))
+# The weights of a triple's (base, lose-far, lose-near) entries, each with
+# its numerator over the common denominator 1-e as (constant, e) coefficients.
+_TRIPLE_WEIGHTS = {"1": (1, -1), "e/(1-e)": (0, 1), "-1/(1-e)": (-1, 0)}
 
 
 def _triple_group(
     entries: tuple[tuple[WilsonLoopDiagram, PoleFactor], ...], case: str, kind: str
 ) -> CancellationGroup:
-    base, lose_far, lose_near = entries
-    weights = {
-        _entry_key(base): "1",
-        _entry_key(lose_far): "e/(1-e)",
-        _entry_key(lose_near): "-1/(1-e)",
-    }
+    weights = {_entry_key(entry): w for entry, w in zip(entries, _TRIPLE_WEIGHTS)}
     ordered = sorted(entries, key=_entry_key)
     members = tuple(GroupMember(d, fac, "triple") for d, fac in ordered)
     wfun = tuple((m.token(), weights[_entry_key((m.diagram, m.factor))]) for m in members)
     return CancellationGroup(case=case, kind=kind, members=members, weight_functions=wfun)
-
-
-def _wide_group(W, f) -> CancellationGroup:
-    entries = _wide_entries(W, f)
-    base = min(entries, key=_entry_key)
-    if base != entries[0]:
-        # the triple is closed under reconstruction; rebuild from the
-        # smallest member so every entry point yields the same group
-        rebuilt = _wide_entries(*base)
-        if frozenset(map(_entry_key, rebuilt)) != frozenset(map(_entry_key, entries)):
-            raise InconsistencyError(f"wide triple of ({W}, {f.label()}) is not closed")
-        entries = rebuilt
-    return _triple_group(entries, CASE3, "wide")
 
 
 def _narrow_base(W, f) -> tuple[WilsonLoopDiagram, PoleFactor]:
@@ -362,18 +345,12 @@ def _narrow_base(W, f) -> tuple[WilsonLoopDiagram, PoleFactor]:
             continue
         m = b.e2 if b.e1 == edge else b.e1
         u = Propagator.of(m, cyc(a + 1, n))
-        if u in W.props:
+        try:
+            Wt, ft = _move(W, p, u, (b, u), m)
+        except InconsistencyError:
             continue
-        props = tuple(x for x in W.props if x != p) + (u,)
-        Wt = WilsonLoopDiagram(n, props)
-        if not is_admissible(Wt):
-            continue
-        ft = pole_quad(Wt.props.index(b) + 1, Wt.props.index(u) + 1, m, cyc(m + 1, n), edge=m)
-        if ft not in r_poly_edge(Wt).factor_set():
-            continue
-        if classify(Wt, ft) != CASE3B:
-            continue
-        found.append((Wt, ft))
+        if classify(Wt, ft) == CASE3B:
+            found.append((Wt, ft))
     if len(found) != 1:
         raise InconsistencyError(
             f"expected exactly one narrow quadratic behind ({W}, {f.label()}), found {len(found)}"
@@ -395,30 +372,33 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
     if tag in (CASE1A, CASE3A):
         raise StructuralError(f"{f.label()} on {W} is case {tag}: codimension >= 2")
     if tag == CASE3:
-        return _wide_group(W, f)
-    if tag == CASE3B:
-        return _triple_group(_narrow_entries(W, f), CASE3B, "narrow")
-    if tag == CASE2A:
-        Wt, ft = _narrow_base(W, f)
-        g = _triple_group(_narrow_entries(Wt, ft), CASE3B, "narrow")
+        entries = _triple(W, f)
+        base = min(entries, key=_entry_key)
+        if base != entries[0]:
+            # the triple is closed under reconstruction; rebuild from the
+            # smallest member so every entry point yields the same group
+            rebuilt = _triple(*base)
+            if frozenset(map(_entry_key, rebuilt)) != frozenset(map(_entry_key, entries)):
+                raise InconsistencyError(f"wide triple of ({W}, {f.label()}) is not closed")
+            entries = rebuilt
+        return _triple_group(entries, CASE3, "wide")
+    if tag in (CASE3B, CASE2A):
+        base = _narrow_base(W, f) if tag == CASE2A else (W, f)
+        g = _triple_group(_triple(*base), CASE3B, "narrow")
         if not any(m.diagram == W and m.factor == f for m in g.members):
             raise InconsistencyError(f"reconstructed triple lost entry ({W}, {f.label()})")
         return g
 
     p = W.props[f.rows[0] - 1]
     q, col = _through(p, f.cols[0], W.n)
-    W2 = _swap(W, remove=p, add=q)
-    f2 = pole_var(W2.props.index(q) + 1, col)
-    _require_factor(W2, f2)
+    W2, f2 = _move(W, p, q, (q,), col)
     tag2 = classify(W2, f2)
     if tag2 != tag:
         raise InconsistencyError(
             f"partner of ({W}, {f.label()}) classifies as {tag2}, expected {tag}"
         )
     ordered = sorted(((W, f), (W2, f2)), key=_entry_key)
-    members = tuple(
-        GroupMember(d, fac, w) for (d, fac), w in zip(ordered, ("+1", "-1"))
-    )
+    members = tuple(GroupMember(d, fac, w) for (d, fac), w in zip(ordered, ("+1", "-1")))
     return CancellationGroup(case=tag, kind="pair", members=members)
 
 
@@ -524,11 +504,17 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     reverse necklace; pairs also literally share limit supports), the
     base member's limit supports pass the minimality rule of
     ``factor_codim`` (a boundary cell of dimension 3k-1), the weights
-    sum to zero, every member meets every other member's own limit point
-    (:func:`_meet`, exact and run once), and pairs satisfy the exact
-    localization sign identity on every twistor sample of
-    :func:`sign_samples`, one set shared by all pairs of the amplitude.
-    ``trials`` counts only those sign samples, ``max(3, trials)`` of them.
+    the group records sum to zero (a triple's as numerators over 1-e,
+    every member's weight known), every member meets every other
+    member's own limit point (:func:`_meet`, exact and run once), and
+    pairs satisfy the exact localization sign identity on every twistor
+    sample of :func:`sign_samples`, one set shared by all pairs of the
+    amplitude.  ``trials`` counts only those sign samples,
+    ``max(3, trials)`` of them.
+
+    ``boundary`` describes the base member's limit.  For a wide triple
+    its ``rows`` are the base quadratic's display supports, not the
+    limit cell; only its necklaces come from the exact limit matroid.
     """
     if trials < 1:
         raise StructuralError(f"verify_group needs at least one trial, got {trials}")
@@ -584,10 +570,9 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     if g.kind == "pair":
         weight_ok = sum(Fraction(m.weight) for m in g.members) == 0
     else:
-        one = Polynomial.constant(Fraction(1))
-        epar = Polynomial.variable(VarId(0, 0))
-        # common denominator of 1, e/(1-e), -1/(1-e)
-        weight_ok = ((one - epar) + epar - one).is_zero()
+        recorded = dict(g.weight_functions)
+        nums = [_TRIPLE_WEIGHTS.get(recorded.get(m.token())) for m in g.members]
+        weight_ok = None not in nums and all(sum(c) == 0 for c in zip(*nums))
     checks.append(("weight_sum_zero", weight_ok))
     if not weight_ok:
         failures.append("weights do not sum to zero")

@@ -18,7 +18,7 @@ from wlpoles.cancel import (
     verify_group,
 )
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams, vertex_support
-from wlpoles.errors import StructuralError
+from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import VarId, mat_det
 from wlpoles.poles import CODIM_GE2, CODIM_ONE, factor_codim, pole_quad, pole_var
 from wlpoles.positroids import cell_descriptor
@@ -216,6 +216,20 @@ def test_narrow_group_closure():
         assert partners(m.diagram, m.factor).key() == g.key()
 
 
+def test_inadmissible_partner_message():
+    """A move onto a crossing diagram fails with the same text on the narrow
+    path and on the blocked-single (2a) path."""
+    W = WilsonLoopDiagram(7, ((1, 3), (1, 4), (4, 6)))
+    with pytest.raises(InconsistencyError) as exc:
+        partners(W, pole_quad(1, 2, 1, 2))
+    assert str(exc.value) == "partner diagram ({(1,3),(3,5),(4,6)},[7]) is not admissible"
+
+    W = WilsonLoopDiagram(7, ((1, 3), (1, 4), (1, 5)))
+    with pytest.raises(InconsistencyError) as exc:
+        partners(W, pole_var(1, 4))
+    assert str(exc.value) == "partner diagram ({(1,5),(2,4),(2,7)},[7]) is not admissible"
+
+
 def test_partners_reject_higher_codimension():
     with pytest.raises(StructuralError):
         partners(W3B, pole_var(1, 3))
@@ -336,6 +350,18 @@ def test_localize_det_calls_per_propagator_sample(monkeypatch):
 def test_verify_wide_triple():
     g = verify_group(partners(W42, pole_quad(1, 2, 1, 2)), trials=3, seed=1)
     assert g.verified and {n for n, _ in g.checks} == TRIPLE_CHECKS
+
+
+def test_weight_sum_fails_on_recorded_triple_weights():
+    g = partners(W42, pole_quad(1, 2, 1, 2))
+    assert all(ok for _, ok in verify_group(g, trials=3, seed=1).checks)
+    wrong = g.weight_functions[:1] + tuple((tok, "1") for tok, _ in g.weight_functions[1:])
+    bad = verify_group(dataclasses.replace(g, weight_functions=wrong), trials=3, seed=1)
+    assert [name for name, ok in bad.checks if not ok] == ["weight_sum_zero"]
+    assert bad.failures == ("weights do not sum to zero",) and not bad.verified
+    unknown = (("not a member", "1"),) + g.weight_functions[1:]
+    bad = verify_group(dataclasses.replace(g, weight_functions=unknown), trials=3, seed=1)
+    assert dict(bad.checks)["weight_sum_zero"] is False
 
 
 def test_verify_narrow_triple():

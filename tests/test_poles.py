@@ -1,11 +1,14 @@
 """Pole polynomial routes, codimension classification, boundary certificates."""
 
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
 import pytest
 
+import wlpoles.diagrams
+import wlpoles.poles
 from wlpoles.cancel import CASE1A, CASE3A, classify, partners
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, edge_order, enumerate_diagrams
 from wlpoles.errors import InconsistencyError, StructuralError
@@ -228,11 +231,26 @@ def test_pattern_memo_holds_seven_patterns_at_k2():
     assert _pattern_factor_keys.cache_info().currsize == 7
 
 
-def test_r_memo_computes_each_diagram_once_per_shape():
+def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
     """The front-half calls over every (3, 8) diagram, partners included,
-    compute R once per diagram, whatever the visit order."""
+    compute R once per diagram, whatever the visit order.  A partner move
+    that leaves the admissible diagrams is an R miss that raises and is
+    not kept; after enumeration, ``validate`` runs only inside R misses,
+    so a partner's R is its only admissibility check."""
     order = enumerate_diagrams(3, 8)
     random.Random(5).shuffle(order)
+    check = wlpoles.diagrams.validate
+    callers: Counter = Counter()
+    verdicts: Counter = Counter()
+
+    def counted(W):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        verdict = check(W)
+        verdicts[verdict.admissible] += 1
+        return verdict
+
+    monkeypatch.setattr(wlpoles.diagrams, "validate", counted)
+    monkeypatch.setattr(wlpoles.poles, "validate", counted)
     r_poly_edge.cache_clear()
     try:
         for W in order:
@@ -245,9 +263,13 @@ def test_r_memo_computes_each_diagram_once_per_shape():
                     partners(W, f)
                 except (InconsistencyError, StructuralError):
                     pass  # the k = 3 partner gaps
-        assert r_poly_edge.cache_info().misses == len(order) == 300
+        info = r_poly_edge.cache_info()
     finally:
         r_poly_edge.cache_clear()
+    assert callers == Counter({"r_poly_edge": 588})
+    assert info.currsize == verdicts[True] == len(order) == 300
+    assert verdicts[False] == 288  # rejected partner diagrams, each a raising miss
+    assert info.misses == 588
 
 
 def test_factors_and_propagators_are_interned():
