@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import StructuralError
+from .matroids import mask_of, row_unions
 
 
 def cyc(v: int, n: int) -> int:
@@ -160,25 +161,25 @@ def validate(W: WilsonLoopDiagram) -> AdmissibilityVerdict:
     """Check non-crossing, local density, and global density.
 
     Local density requires every nonempty propagator subset P to be
-    supported by at least |P| + 3 vertices; subsets are enumerated
-    exhaustively (k is small).  Global density requires n >= k + 4.
+    supported by at least |P| + 3 vertices, read off the supports' union
+    table; violations are listed by size, then index, and a repeated
+    subset once.  Global density requires n >= k + 4.
     """
     crossings = tuple(
         (p, q) for p, q in itertools.combinations(W.props, 2) if crossing(p, q)
     )
 
-    seen: set[tuple[Propagator, ...]] = set()
+    unions = row_unions([mask_of(vertex_support(p, W.n, strict=False)) for p in W.props])
+    short = [
+        tuple(i for i in range(W.k) if T >> i & 1)
+        for T in range(1, len(unions))
+        if unions[T].bit_count() < T.bit_count() + 3
+    ]
     violations: list[tuple[Propagator, ...]] = []
-    for size in range(1, W.k + 1):
-        for subset in itertools.combinations(W.props, size):
-            if subset in seen:
-                continue
-            seen.add(subset)
-            covered: set[int] = set()
-            for p in subset:
-                covered.update(vertex_support(p, W.n, strict=False))
-            if len(covered) < len(subset) + 3:
-                violations.append(subset)
+    for idx in sorted(short, key=lambda t: (len(t), t)):
+        subset = tuple(W.props[i] for i in idx)
+        if subset not in violations:
+            violations.append(subset)
 
     return AdmissibilityVerdict(
         crossing_violations=crossings,

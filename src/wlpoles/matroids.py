@@ -1,7 +1,7 @@
 """Matroids given by rank oracles, with the structure theory used here.
 
 Three realizations share one interface: transversal matroids of a set
-system (rank by bipartite matching), matroids of a symbolic matrix
+system (rank by Hall's deficiency formula), matroids of a symbolic matrix
 with polynomial entries (rank by exact symbolic minors, needed when
 entries are algebraically dependent), and minors (restriction or
 contraction) of either.  On top of the rank oracle sit bases,
@@ -23,6 +23,7 @@ from .exact import Polynomial, VarId, mat_rank, poly_det, specialize
 from .sampling import seeded_rng
 
 _STRUCTURE_LIMIT = 16  # flat/connectivity enumeration is 2^n
+_ROW_LIMIT = 20  # a subset-union table has 2^rows entries
 
 
 def mask_of(S: Iterable[int]) -> int:
@@ -33,14 +34,30 @@ def mask_of(S: Iterable[int]) -> int:
 
 
 def set_of(mask: int) -> frozenset[int]:
-    out = set()
-    v = 1
-    while mask:
-        if mask & 1:
-            out.add(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+    return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def row_masks(n: int, rows: Sequence[frozenset[int]]) -> tuple[int, ...]:
+    """Bit masks of a set system's rows, which must lie in [1, n]; more
+    rows than n can never have full rank and are refused."""
+    for sup in rows:
+        if sup and not (1 <= min(sup) and max(sup) <= n):
+            raise StructuralError(f"support {sorted(sup)} outside [1, {n}]")
+    if len(rows) > n:
+        raise StructuralError(f"{len(rows)} rows on {n} columns can never have full rank")
+    return tuple(mask_of(sup) for sup in rows)
+
+
+def row_unions(masks: Sequence[int]) -> list[int]:
+    """Union U_T of the row masks in T, indexed by T as a bit mask over
+    the rows; each entry extends the one for T without its lowest row."""
+    if len(masks) > _ROW_LIMIT:
+        raise StructuralError(f"subset-union table capped at {_ROW_LIMIT} rows, got {len(masks)}")
+    out = [0] * (1 << len(masks))
+    for T in range(1, len(out)):
+        low = T & -T
+        out[T] = out[T ^ low] | masks[low.bit_length() - 1]
+    return out
 
 
 def is_cyclic_interval(S: Iterable[int], n: int) -> bool:
@@ -188,7 +205,8 @@ class Matroid:
 
 
 class TransversalMatroid(Matroid):
-    """Matroid of a set system; rank by maximum bipartite matching."""
+    """Matroid of a set system, ranked by Hall's deficiency formula:
+    rank(S) = min over row subsets T of k - |T| + |U_T & S| (row_unions)."""
 
     def __init__(self, n: int, row_supports: Sequence[Iterable[int]]):
         super().__init__()
@@ -197,33 +215,14 @@ class TransversalMatroid(Matroid):
         self.n = n
         self.ground_mask = (1 << n) - 1
         self.row_supports = tuple(frozenset(r) for r in row_supports)
-        for sup in self.row_supports:
-            if any(not (1 <= v <= n) for v in sup):
-                raise StructuralError(f"support {sorted(sup)} outside [1, {n}]")
-        self._rows_of_col: dict[int, tuple[int, ...]] = {
-            c: tuple(i for i, sup in enumerate(self.row_supports) if c in sup)
-            for c in range(1, n + 1)
-        }
+        self.row_masks = row_masks(n, self.row_supports)
+        k = len(self.row_masks)
+        self._hall: dict[int, int] = {}  # U_T -> its smallest k - |T|
+        for T, union in enumerate(row_unions(self.row_masks)):
+            self._hall[union] = min(self._hall.get(union, k), k - T.bit_count())
 
     def _rank(self, mask: int) -> int:
-        cols = [v + 1 for v in range(self.n) if mask >> v & 1]
-        row_match: dict[int, int] = {}
-
-        def augment(col: int, seen: set[int]) -> bool:
-            for r in self._rows_of_col[col]:
-                if r in seen:
-                    continue
-                seen.add(r)
-                if r not in row_match or augment(row_match[r], seen):
-                    row_match[r] = col
-                    return True
-            return False
-
-        size = 0
-        for c in cols:
-            if augment(c, set()):
-                size += 1
-        return size
+        return min(d + (union & mask).bit_count() for union, d in self._hall.items())
 
 
 class MatrixMatroid(Matroid):
@@ -363,8 +362,8 @@ def numeric_rank_probe(
     """Rank of a random exact evaluation of the set-system matrix.
 
     Entries are independent positive rationals with numerator and
-    denominator up to 10^6; used as a cross-check of the matching
-    oracle, never as the primary answer.
+    denominator up to 10^6; used as a cross-check of the Hall
+    deficiency oracle, never as the primary answer.
     """
     rng = seeded_rng(seed, "rankprobe", tuple(sorted(S)))
     cols = sorted(set(S))
@@ -384,12 +383,12 @@ def numeric_rank_probe(
 def check_rank_oracle(
     M: TransversalMatroid, S: Iterable[int], seeds: Sequence[int] = (1, 2, 3)
 ) -> int:
-    """Matching rank with numeric agreement enforced across seeds."""
+    """Hall deficiency rank with numeric agreement enforced across seeds."""
     want = M.rank(S)
     for seed in seeds:
         got = numeric_rank_probe(M, S, seed)
         if got != want:
             raise InconsistencyError(
-                f"matching rank {want} but numeric rank {got} on {sorted(set(S))}"
+                f"Hall rank {want} but numeric rank {got} on {sorted(set(S))}"
             )
     return want

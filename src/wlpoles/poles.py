@@ -33,7 +33,7 @@ from .diagrams import (
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
 from .exact import Polynomial, VarId, structured_factorize
 from .matrices import SymbolicMatrix
-from .matroids import TransversalMatroid, is_cyclic_interval
+from .matroids import TransversalMatroid, is_cyclic_interval, set_of
 from .positroids import (
     diagram_matrix,
     diagram_matroid,
@@ -191,19 +191,19 @@ def _factor_keys(poly: Polynomial) -> frozenset[PoleFactor]:
 
 # Bounded, with room for every pattern of a (4, 9) sweep (2,464 of them).
 @functools.lru_cache(maxsize=4096)
-def _pattern_factor_keys(pattern: tuple[frozenset[int], ...]) -> frozenset[PoleFactor] | None:
-    """Factor keys of the square minor whose row r is supported on
-    ``pattern[r-1]`` within columns 1..k, or None if the minor vanishes."""
-    k = len(pattern)
-    minor = SymbolicMatrix(n=k, supports=pattern).minor(range(1, k + 1), range(1, k + 1))
+def _pattern_factor_keys(pattern: tuple[int, ...]) -> frozenset[PoleFactor] | None:
+    """Factor keys of the square minor whose row r is supported on the
+    column mask ``pattern[r-1]`` within 1..k, or None if it vanishes."""
+    k, cols = len(pattern), range(1, len(pattern) + 1)
+    minor = SymbolicMatrix(n=k, supports=tuple(map(set_of, pattern))).minor(cols, cols)
     return None if minor.is_zero() else _factor_keys(minor)
 
 
 def _minor_factor_keys(
-    supports: Sequence[frozenset[int]], cols: Sequence[int]
+    row_masks: Sequence[int], cols: Sequence[int]
 ) -> frozenset[PoleFactor] | None:
-    """Factor keys of the all-rows minor of the supports' symbolic matrix on
-    ``cols``, or None if it vanishes.
+    """Factor keys of the all-rows minor on ``cols`` of the symbolic matrix
+    with row support masks ``row_masks``, or None if it vanishes.
 
     The minor depends only on the supports restricted to ``cols``, so it is
     factored once per support pattern, with the columns renumbered 1..k,
@@ -212,13 +212,15 @@ def _minor_factor_keys(
     are exactly those of factoring the minor directly.
     """
     I = sorted(cols)
-    pos = {c: p for p, c in enumerate(I, start=1)}
-    pattern = tuple(frozenset(pos[c] for c in row if c in pos) for row in supports)
+    bits = [1 << (c - 1) for c in I]
+    pattern = tuple(sum(1 << p for p, b in enumerate(bits) if r & b) for r in row_masks)
     keys = _pattern_factor_keys(pattern)
     if keys is None:
         return None
     return frozenset(
-        PoleFactor(f.kind, f.rows, tuple(I[c - 1] for c in f.cols)) for f in keys
+        pole_var(f.rows[0], I[f.cols[0] - 1]) if f.kind == "var"
+        else pole_quad(*f.rows, I[f.cols[0] - 1], I[f.cols[1] - 1])
+        for f in keys
     )
 
 
@@ -234,7 +236,7 @@ def _r_poly_radical(V: Sequence, n: int | None, scan, provenance: str) -> RPolyn
         raise StructuralError(f"set system has rank {M.k}, expected {len(rows)}")
     out: set[PoleFactor] = set()
     for I_a in scan(M):
-        keys = _minor_factor_keys(rows, I_a)
+        keys = _minor_factor_keys(M.row_masks, I_a)
         if keys is None:
             raise InconsistencyError(f"necklace entry {I_a} is not a basis")
         out |= keys
@@ -587,7 +589,7 @@ def boundary_without_pole(W: WilsonLoopDiagram) -> list[BoundaryNoPoleCertificat
             implication = "inconclusive"
             try:
                 kv, kw, kpv = (
-                    _minor_factor_keys(supports, I)
+                    _minor_factor_keys(M.row_masks, I)
                     for I in (nk[v - 1], nk[w - 1], nkp[v - 1])
                 )
                 if None not in (kv, kw, kpv) and kv <= (kw | kpv):

@@ -5,8 +5,8 @@ bases, one per cyclic shift of the ground order; the reverse necklace
 collects the Gale-maximal ones.  Both come from the greedy algorithm
 run against the rank oracle, scanning the shifted order upward or
 downward.  Minimality of a set-system representation is the subset
-counting inequality; when it holds the cell dimension is the number
-of nonzero entries minus k.
+counting inequality, read from the union table of the transversal rank
+(``row_unions``); then the cell dimension is the entry count minus k.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .diagrams import WilsonLoopDiagram, cyc
 from .errors import StructuralError
 from .exact import Polynomial
 from .matrices import SymbolicMatrix, matrix_from_sets
-from .matroids import Matroid, TransversalMatroid, is_positroid
+from .matroids import Matroid, TransversalMatroid, is_positroid, row_masks, row_unions
 
 
 def gale_key(v: int, a: int, n: int) -> int:
@@ -106,27 +106,25 @@ def is_minimal(V: Sequence[Iterable[int]], n: int | None = None) -> MinimalityRe
 
     Every nonempty subfamily T of rows must cover at least
     max(|V_i|) + |T| - 1 vertices; then dimension = (total entries) - k.
-    No separate rank test is needed: since every row is nonempty, each
-    T then covers at least |T| vertices, which is Hall's condition, so
-    the transversal matroid has rank k.
+    The covers come from the union table of the transversal rank, and the
+    first violating T in mask order is reported.  No rank test is needed:
+    since every row is nonempty, each T then covers at least |T| vertices,
+    which is Hall's condition, so the transversal matroid has rank k.
     """
     rows = [frozenset(r) for r in V]
     if not rows or any(not r for r in rows):
         raise StructuralError("set system needs nonempty rows")
     if n is None:
         n = max(max(r) for r in rows)
-    for r in rows:
-        if any(not (1 <= v <= n) for v in r):
-            raise StructuralError(f"support {sorted(r)} outside [1, {n}]")
     k = len(rows)
-
+    unions = row_unions(row_masks(n, rows))
+    widest = [0] * len(unions)
     violating = None
-    for mask in range(1, 1 << k):
-        members = [rows[i] for i in range(k) if mask >> i & 1]
-        union = frozenset().union(*members)
-        need = max(len(r) for r in members) + len(members) - 1
-        if len(union) < need:
-            violating = tuple(i + 1 for i in range(k) if mask >> i & 1)
+    for T in range(1, len(unions)):
+        low = T & -T
+        widest[T] = max(widest[T ^ low], len(rows[low.bit_length() - 1]))
+        if unions[T].bit_count() < widest[T] + T.bit_count() - 1:
+            violating = tuple(i + 1 for i in range(k) if T >> i & 1)
             break
 
     minimal = violating is None

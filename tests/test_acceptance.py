@@ -214,4 +214,4 @@ def test_criterion_10_rank_oracle_agreement():
         S = rng.sample(range(1, M.n + 1), rng.randint(0, M.n))
         check_rank_oracle(M, S, seeds=(rng.randint(1, 10**6),))
         checked += 1
-    passline(10, "matching rank matches numeric rank on 1000 queries", t0)
+    passline(10, "Hall rank matches numeric rank on 1000 queries", t0)

@@ -100,6 +100,17 @@ def test_analyze_malformed_input(tmp_path, capsys):
     assert run(capsys, "analyze", str(tmp_path / "missing.json"))[0] == 2
 
 
+@pytest.mark.parametrize("k", [24, 9])
+def test_analyze_rejects_more_rows_than_columns(tmp_path, capsys, k):
+    # such a system can never have full rank; it is refused before any
+    # 2^k subset table is built
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 8, "rows": [list(range(1, 9))] * k}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "never have full rank" in err
+
+
 def test_analyze_text_format(tmp_path, capsys):
     path = tmp_path / "d.json"
     path.write_text(json.dumps(DIAGRAM))

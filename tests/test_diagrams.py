@@ -69,6 +69,39 @@ def test_validate_reports_all_violations():
     assert verdict2.local_density_violations
 
 
+def old_local_density_violations(W):
+    """Local density by frozenset unions over itertools subsets, listing a
+    subset repeated through repeated propagators once."""
+    seen = set()
+    out = []
+    for size in range(1, W.k + 1):
+        for subset in itertools.combinations(W.props, size):
+            if subset in seen:
+                continue
+            seen.add(subset)
+            covered = set()
+            for p in subset:
+                covered.update(vertex_support(p, W.n, strict=False))
+            if len(covered) < len(subset) + 3:
+                out.append(subset)
+    return tuple(out)
+
+
+def test_local_density_matches_subset_enumeration():
+    # every non-crossing multiset of at most 3 propagators on [6],
+    # repeated and degenerate (adjacent-edge) propagators included
+    props = [Propagator(a, b) for a in range(1, 7) for b in range(a + 1, 7)]
+    checked = 0
+    for size in range(4):
+        for combo in itertools.combinations_with_replacement(props, size):
+            if any(crossing(p, q) for p, q in itertools.combinations(combo, 2)):
+                continue
+            W = WilsonLoopDiagram(6, combo)
+            assert validate(W).local_density_violations == old_local_density_violations(W), W
+            checked += 1
+    assert checked == 611
+
+
 def test_global_density():
     assert enumerate_diagrams(1, 4) == []
     assert len(enumerate_diagrams(0, 4)) == 1

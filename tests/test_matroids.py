@@ -1,4 +1,4 @@
-"""Matroid oracles: matching rank vs brute force, axioms, positroid tests."""
+"""Matroid oracles: Hall rank vs brute-force matching, axioms, positroid tests."""
 
 import itertools
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
-from wlpoles.errors import InconsistencyError
+from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import mat_rank
 from wlpoles.matroids import (
     MatrixMatroid,
@@ -16,6 +16,7 @@ from wlpoles.matroids import (
     is_cyclic_interval,
     is_positroid,
     numeric_rank_probe,
+    row_unions,
     structure,
 )
 from wlpoles.positroids import diagram_matroid
@@ -44,6 +45,40 @@ set_systems = st.lists(
 def test_matching_rank_matches_brute_force(rows, S):
     M = TransversalMatroid(7, [frozenset(r) for r in rows])
     assert M.rank(S) == brute_matching_rank(rows, S)
+
+
+def test_hall_rank_matches_brute_force_exhaustively():
+    # every column subset of every system of 1-3 rows on [5], repeated
+    # and empty rows included
+    subsets = [frozenset(S) for r in range(6) for S in itertools.combinations(range(1, 6), r)]
+    queries = 0
+    for size in (1, 2, 3):
+        for rows in itertools.combinations_with_replacement(subsets, size):
+            M = TransversalMatroid(5, rows)
+            for S in subsets:
+                assert M.rank(S) == brute_matching_rank(rows, S), (rows, sorted(S))
+                queries += 1
+    assert queries == 6_544 * 32
+
+
+def test_row_unions_covers_every_subset():
+    masks = [0b0011, 0b0110, 0, 0b1000]
+    unions = row_unions(masks)
+    assert len(unions) == 16
+    for T in range(16):
+        want = 0
+        for i, m in enumerate(masks):
+            if T >> i & 1:
+                want |= m
+        assert unions[T] == want
+
+
+def test_more_rows_than_columns_rejected_before_any_table():
+    for k in (5, 24):
+        with pytest.raises(StructuralError, match="never have full rank"):
+            TransversalMatroid(4, [{1, 2, 3, 4}] * k)
+    with pytest.raises(StructuralError, match="capped"):
+        TransversalMatroid(64, [{1}] * 21)
 
 
 @given(set_systems, st.sets(st.integers(1, 7)), st.sets(st.integers(1, 7)))

@@ -80,7 +80,6 @@ def test_necklace_is_gale_minimal_over_all_bases():
 
 
 def test_necklace_rejects_rank_zero():
-    M = TransversalMatroid(4, [set()]) if False else None
     with pytest.raises(StructuralError):
         necklace(TransversalMatroid(4, [{1}]).restrict(frozenset({2})))
 
@@ -106,6 +105,17 @@ def parent_minimal(rows, n):
     return TransversalMatroid(n, rows).k == len(rows)
 
 
+def first_violating(rows):
+    """The first row subfamily, in increasing mask order, covering fewer
+    than max|V_i| + |T| - 1 vertices, by frozenset unions."""
+    k = len(rows)
+    for mask in range(1, 1 << k):
+        members = [rows[i] for i in range(k) if mask >> i & 1]
+        if len(frozenset().union(*members)) < max(map(len, members)) + len(members) - 1:
+            return tuple(i + 1 for i in range(k) if mask >> i & 1)
+    return None
+
+
 def test_is_minimal_needs_no_rank_test():
     subsets = [frozenset(S) for r in range(1, 7) for S in itertools.combinations(range(1, 7), r)]
     systems = 0
@@ -114,8 +124,14 @@ def test_is_minimal_needs_no_rank_test():
             rep = is_minimal(rows, 6)
             assert rep.minimal == parent_minimal(rows, 6), rows
             assert rep.dimension == (sum(map(len, rows)) - size if rep.minimal else None)
+            assert rep.violating == first_violating(rows), rows
             systems += 1
     assert systems == 41_727
+
+
+def test_is_minimal_rejects_more_rows_than_columns():
+    with pytest.raises(StructuralError, match="never have full rank"):
+        is_minimal([{1, 2, 3}] * 4, 3)
 
 
 def test_is_minimal_rejects_support_outside_ground():
