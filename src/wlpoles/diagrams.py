@@ -161,9 +161,8 @@ def validate(W: WilsonLoopDiagram) -> AdmissibilityVerdict:
     """Check non-crossing, local density, and global density.
 
     Local density requires every nonempty propagator subset P to be
-    supported by at least |P| + 3 vertices, read off the supports' union
-    table; violations are listed by size, then index, and a repeated
-    subset once.  Global density requires n >= k + 4.
+    supported by at least |P| + 3 vertices (read off the supports' union
+    table, each repeated subset once).  Global density requires n >= k + 4.
     """
     crossings = tuple(
         (p, q) for p, q in itertools.combinations(W.props, 2) if crossing(p, q)
@@ -175,11 +174,9 @@ def validate(W: WilsonLoopDiagram) -> AdmissibilityVerdict:
         for T in range(1, len(unions))
         if unions[T].bit_count() < T.bit_count() + 3
     ]
-    violations: list[tuple[Propagator, ...]] = []
-    for idx in sorted(short, key=lambda t: (len(t), t)):
-        subset = tuple(W.props[i] for i in idx)
-        if subset not in violations:
-            violations.append(subset)
+    violations = list(dict.fromkeys(
+        tuple(W.props[i] for i in idx) for idx in sorted(short, key=lambda t: (len(t), t))
+    ))
 
     return AdmissibilityVerdict(
         crossing_violations=crossings,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistencyError, StructuralError
 from .exact import Polynomial, VarId, mat_rank, poly_det, specialize
@@ -34,7 +34,8 @@ def mask_of(S: Iterable[int]) -> int:
 
 
 def set_of(mask: int) -> frozenset[int]:
-    return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+    # frozen from a set, not a generator, which would leave it an oversized table
+    return frozenset({v + 1 for v in range(mask.bit_length()) if mask >> v & 1})
 
 
 def row_masks(n: int, rows: Sequence[frozenset[int]]) -> tuple[int, ...]:
@@ -48,15 +49,15 @@ def row_masks(n: int, rows: Sequence[frozenset[int]]) -> tuple[int, ...]:
     return tuple(mask_of(sup) for sup in rows)
 
 
-def row_unions(masks: Sequence[int]) -> list[int]:
-    """Union U_T of the row masks in T, indexed by T as a bit mask over
-    the rows; each entry extends the one for T without its lowest row."""
+def row_unions(masks: Sequence[int], op: Callable[[int, int], int] = int.__or__) -> list[int]:
+    """Union U_T (or another op folded alike) of the row masks in each T,
+    indexed by T as a bit mask; 2^rows steps, each from T less its lowest row."""
     if len(masks) > _ROW_LIMIT:
         raise StructuralError(f"subset-union table capped at {_ROW_LIMIT} rows, got {len(masks)}")
     out = [0] * (1 << len(masks))
     for T in range(1, len(out)):
         low = T & -T
-        out[T] = out[T ^ low] | masks[low.bit_length() - 1]
+        out[T] = op(out[T ^ low], masks[low.bit_length() - 1])
     return out
 
 
@@ -206,7 +207,10 @@ class Matroid:
 
 class TransversalMatroid(Matroid):
     """Matroid of a set system, ranked by Hall's deficiency formula:
-    rank(S) = min over row subsets T of k - |T| + |U_T & S| (row_unions)."""
+    rank(S) = min over unions U of rows of (rows not inside U) + |U & S|.
+    Unions that a row leaves by a single column are skipped, as another
+    union always bounds as low; that usually leaves a handful per rank
+    query (one for k singleton rows), while row_unions takes 2^k steps."""
 
     def __init__(self, n: int, row_supports: Sequence[Iterable[int]]):
         super().__init__()
@@ -216,10 +220,11 @@ class TransversalMatroid(Matroid):
         self.ground_mask = (1 << n) - 1
         self.row_supports = tuple(frozenset(r) for r in row_supports)
         self.row_masks = row_masks(n, self.row_supports)
-        k = len(self.row_masks)
-        self._hall: dict[int, int] = {}  # U_T -> its smallest k - |T|
-        for T, union in enumerate(row_unions(self.row_masks)):
-            self._hall[union] = min(self._hall.get(union, k), k - T.bit_count())
+        self._hall = {  # U -> number of rows not inside U
+            U: sum(r & ~U != 0 for r in self.row_masks)
+            for U in set(row_unions(self.row_masks))
+            if all((r & ~U).bit_count() != 1 for r in self.row_masks)
+        }
 
     def _rank(self, mask: int) -> int:
         return min(d + (union & mask).bit_count() for union, d in self._hall.items())

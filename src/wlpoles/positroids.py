@@ -5,8 +5,8 @@ bases, one per cyclic shift of the ground order; the reverse necklace
 collects the Gale-maximal ones.  Both come from the greedy algorithm
 run against the rank oracle, scanning the shifted order upward or
 downward.  Minimality of a set-system representation is the subset
-counting inequality, read from the union table of the transversal rank
-(``row_unions``); then the cell dimension is the entry count minus k.
+counting inequality, read off the union table (``row_unions``) the
+transversal rank is built from; its cell dimension is entries minus k.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ def is_minimal(V: Sequence[Iterable[int]], n: int | None = None) -> MinimalityRe
 
     Every nonempty subfamily T of rows must cover at least
     max(|V_i|) + |T| - 1 vertices; then dimension = (total entries) - k.
-    The covers come from the union table of the transversal rank, and the
-    first violating T in mask order is reported.  No rank test is needed:
+    The covers come from ``row_unions``, and the first violating T in
+    mask order is reported.  No rank test is needed:
     since every row is nonempty, each T then covers at least |T| vertices,
     which is Hall's condition, so the transversal matroid has rank k.
     """
@@ -118,11 +118,9 @@ def is_minimal(V: Sequence[Iterable[int]], n: int | None = None) -> MinimalityRe
         n = max(max(r) for r in rows)
     k = len(rows)
     unions = row_unions(row_masks(n, rows))
-    widest = [0] * len(unions)
+    widest = row_unions([len(r) for r in rows], max)
     violating = None
     for T in range(1, len(unions)):
-        low = T & -T
-        widest[T] = max(widest[T ^ low], len(rows[low.bit_length() - 1]))
         if unions[T].bit_count() < widest[T] + T.bit_count() - 1:
             violating = tuple(i + 1 for i in range(k) if T >> i & 1)
             break

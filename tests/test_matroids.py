@@ -1,6 +1,7 @@
 """Matroid oracles: Hall rank vs brute-force matching, axioms, positroid tests."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,48 @@ def test_hall_rank_matches_brute_force_exhaustively():
                 assert M.rank(S) == brute_matching_rank(rows, S), (rows, sorted(S))
                 queries += 1
     assert queries == 6_544 * 32
+
+
+def kuhn_matching_rank(rows, S):
+    """Maximum matching of S into the rows by augmenting paths."""
+    owner = {}
+
+    def augment(c, seen):
+        for r, row in enumerate(rows):
+            if c in row and r not in seen:
+                seen.add(r)
+                if r not in owner or augment(owner[r], seen):
+                    owner[r] = c
+                    return True
+        return False
+
+    return sum(augment(c, set()) for c in sorted(S))
+
+
+def test_hall_rank_matches_matching_on_wide_systems():
+    # up to 10 rows, singleton and repeated rows included, where the
+    # pruned union table must still reach every rank
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(6, 10)
+        rows = [
+            frozenset(rng.sample(range(1, n + 1), rng.choice((1, 1, 2, 3, n // 2))))
+            for _ in range(rng.randint(4, n))
+        ]
+        M = TransversalMatroid(n, rows)
+        for _ in range(40):
+            S = {v for v in range(1, n + 1) if rng.random() < 0.6}
+            assert M.rank(S) == kuhn_matching_rank(rows, S), (rows, sorted(S))
+
+
+def test_rank_table_keeps_few_unions_on_many_rows():
+    # 16 singleton rows have 2^16 distinct unions, but a rank query reads
+    # only the union of all rows (a row left by one column is dropped)
+    M = TransversalMatroid(16, [{v} for v in range(1, 17)])
+    assert len(M._hall) == 1
+    assert M.rank(range(1, 17)) == 16 and M.rank({2, 5, 9}) == 3
+    bands = TransversalMatroid(16, [{v, v % 16 + 1, (v + 1) % 16 + 1} for v in range(1, 17)])
+    assert len(bands._hall) <= 2 and bands.rank(range(1, 17)) == 16
 
 
 def test_row_unions_covers_every_subset():
