@@ -15,9 +15,9 @@ import sys
 
 from .cancel import amplitude_report, diagram_token
 from .diagrams import WilsonLoopDiagram, enumerate_diagrams, validate
-from .errors import InconsistencyError, StructuralError
+from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
 from .matroids import _STRUCTURE_LIMIT, TransversalMatroid, structure
-from .poles import PoleFactor, check_r_equalities, r_poly_necklace, r_poly_reverse
+from .poles import PoleFactor, check_r_equalities, necklace_radicals
 from .positroids import cell_descriptor, diagram_cell, diagram_matroid
 
 N_CAP = 12
@@ -96,10 +96,11 @@ def _analyze_diagram(cfg: argparse.Namespace, obj: dict) -> tuple[dict, int]:
     if not verdict.admissible:
         return head, 1
     eq = check_r_equalities(W)
+    M = diagram_matroid(W)
     head.update(
         {
-            "cell": diagram_cell(W).to_json(),
-            "flats": structure(diagram_matroid(W)).to_json(),
+            "cell": diagram_cell(W, M).to_json(),
+            "flats": structure(M).to_json(),
             "r": {
                 "edge": [f.to_json() for f in eq.edge.factors],
                 "necklace": [f.to_json() for f in eq.necklace.factors],
@@ -117,8 +118,8 @@ def _analyze_rows(cfg: argparse.Namespace, obj: dict) -> tuple[dict, int]:
     rows = [frozenset(r) for r in obj["rows"]]
     if not isinstance(n, int) or not rows or any(not r for r in rows):
         raise StructuralError("set-system input needs integer n and nonempty rows")
-    necklace_r = r_poly_necklace(rows, n)
-    reverse_r = r_poly_reverse(rows, n)
+    M = TransversalMatroid(n, rows)
+    necklace_r, reverse_r = necklace_radicals(M)
     equal = necklace_r.factor_set() == reverse_r.factor_set()
     payload = {
         "schema": "1",
@@ -129,8 +130,8 @@ def _analyze_rows(cfg: argparse.Namespace, obj: dict) -> tuple[dict, int]:
         "seed": cfg.seed,
         "trials": cfg.trials,
         "rows": [sorted(r) for r in rows],
-        "cell": cell_descriptor(rows, n).to_json(),
-        "flats": structure(TransversalMatroid(n, rows)).to_json(),
+        "cell": cell_descriptor(M).to_json(),
+        "flats": structure(M).to_json(),
         "r": {
             "necklace": [f.to_json() for f in necklace_r.factors],
             "reverse": [f.to_json() for f in reverse_r.factors],
@@ -192,6 +193,9 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
             return 2
     except (StructuralError, KeyError, TypeError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
+        return 2
+    except UnstructuredResidualError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg.format == "csv":
         _emit(cfg, _analyze_csv(payload))

@@ -62,6 +62,14 @@ def vertex_support(p: Propagator, n: int, strict: bool = True) -> tuple[int, ...
     return tuple(out)
 
 
+# Memoized like cancel._through: n(n-3)/2 propagators per n, and every
+# factor's limit set system asks for each row of its diagram.
+@functools.lru_cache(maxsize=1024)
+def support_mask(p: Propagator, n: int) -> int:
+    """Bit mask of the vertices supporting p, strict as :func:`vertex_support`."""
+    return mask_of(vertex_support(p, n))
+
+
 @dataclass(frozen=True)
 class WilsonLoopDiagram:
     """A set of propagators on [n], stored in canonical sorted order."""

@@ -78,6 +78,7 @@ class Matroid:
 
     def __init__(self):
         self._rank_cache: dict[int, int] = {}
+        self._flats: tuple[frozenset[int], ...] | None = None
 
     def _rank(self, mask: int) -> int:
         raise NotImplementedError
@@ -141,14 +142,18 @@ class Matroid:
         return set_of(out)
 
     def flats(self) -> list[frozenset[int]]:
-        if len(self.ground) > _STRUCTURE_LIMIT:
-            raise StructuralError(f"flat enumeration capped at {_STRUCTURE_LIMIT} elements")
-        seen: set[frozenset[int]] = set()
-        elems = sorted(self.ground)
-        for size in range(len(elems) + 1):
-            for combo in itertools.combinations(elems, size):
-                seen.add(self.closure(combo))
-        return sorted(seen, key=lambda f: (self.rank(f), len(f), sorted(f)))
+        """Every flat, listed once per instance: the scan takes 2^n closures,
+        and cyclic flats, flacets and the positroid test all start from it."""
+        if self._flats is None:
+            if len(self.ground) > _STRUCTURE_LIMIT:
+                raise StructuralError(f"flat enumeration capped at {_STRUCTURE_LIMIT} elements")
+            seen: set[frozenset[int]] = set()
+            elems = sorted(self.ground)
+            for size in range(len(elems) + 1):
+                for combo in itertools.combinations(elems, size):
+                    seen.add(self.closure(combo))
+            self._flats = tuple(sorted(seen, key=lambda f: (self.rank(f), len(f), sorted(f))))
+        return list(self._flats)
 
     def is_cyclic_flat(self, F: Iterable[int]) -> bool:
         """A flat with no coloops in the restriction to it."""

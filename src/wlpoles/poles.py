@@ -2,16 +2,17 @@
 
 The denominator R attached to a diagram is computed two independent
 ways: as the per-edge product of boundary variables and adjacent-pair
-quadratics, and as the set of prime factors of the necklace minors.
+quadratics, and as the set of prime factors of the necklace minors
+(forward and reverse, both read from one transversal matroid).
 Their agreement is a checkable invariant, not an assumption.  A
 necklace minor depends only on the row supports restricted to its
 columns, so minors are factored once per support pattern and the
 factors mapped back to the columns.  The module also classifies each
 factor's vanishing locus by codimension, with one rule for single
 entries and quadratics alike: codimension one iff the factor's limit
-set system is minimal (checked against the case tags on all 39,770
-factors at k <= 4, n <= 9).  It certifies boundary cells that no
-factor vanishes on.
+set system (:func:`limit_masks`) is minimal (checked against the case
+tags on all 39,770 factors at k <= 4, n <= 9).  It certifies boundary
+cells that no factor vanishes on.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .diagrams import (
     cyc,
     edge_order,
     propagator_flat,
+    support_mask,
     validate,
 )
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
@@ -37,8 +39,8 @@ from .matroids import TransversalMatroid, is_cyclic_interval, set_of
 from .positroids import (
     diagram_matrix,
     diagram_matroid,
+    first_violation,
     is_boundary_of,
-    is_minimal,
     necklace,
     necklace_minors,
     reverse_necklace,
@@ -224,36 +226,61 @@ def _minor_factor_keys(
     )
 
 
-def _r_poly_radical(V: Sequence, n: int | None, scan, provenance: str) -> RPolynomial:
-    """Distinct prime factors of the minors on the bases ``scan`` picks."""
+def necklace_radicals(M: TransversalMatroid) -> tuple[RPolynomial, RPolynomial]:
+    """Distinct prime factors of the necklace minors and of the
+    reverse-necklace minors of the set system behind ``M``.
+
+    Both scans read the one matroid, so they share its Hall table and its
+    rank cache, and each distinct entry, keyed by its sorted columns, is
+    factored once; the two radicals differ only in their scan.
+    """
+    if not M.row_masks or 0 in M.row_masks:
+        raise StructuralError("set system needs nonempty rows")
+    if M.k != len(M.row_masks):
+        raise StructuralError(f"set system has rank {M.k}, expected {len(M.row_masks)}")
+    keys: dict[tuple[int, ...], frozenset[PoleFactor]] = {}
+    radicals = []
+    for name, scan, provenance in (
+        ("necklace", necklace, NECKLACE_RADICAL),
+        ("reverse necklace", reverse_necklace, REVERSE_NECKLACE_RADICAL),
+    ):
+        out: set[PoleFactor] = set()
+        for a, I_a in enumerate(scan(M), start=1):
+            cols = tuple(sorted(I_a))
+            if cols not in keys:
+                try:
+                    found = _minor_factor_keys(M.row_masks, cols)
+                except UnstructuredResidualError:
+                    raise UnstructuredResidualError(
+                        f"{name} entry {a} {list(cols)}: its minor does not split"
+                        " into single entries and edge quadratics"
+                    ) from None
+                if found is None:
+                    raise InconsistencyError(f"{name} entry {a} {list(cols)} is not a basis")
+                keys[cols] = found
+            out |= keys[cols]
+        radicals.append(RPolynomial(
+            factors=tuple(sorted(out, key=PoleFactor.sort_key)),
+            provenance=provenance,
+        ))
+    return radicals[0], radicals[1]
+
+
+def _set_system_matroid(V: Sequence, n: int | None) -> TransversalMatroid:
     rows = tuple(frozenset(r) for r in V)
     if not rows or any(not r for r in rows):
         raise StructuralError("set system needs nonempty rows")
-    if n is None:
-        n = max(max(r) for r in rows)
-    M = TransversalMatroid(n, rows)
-    if M.k != len(rows):
-        raise StructuralError(f"set system has rank {M.k}, expected {len(rows)}")
-    out: set[PoleFactor] = set()
-    for I_a in scan(M):
-        keys = _minor_factor_keys(M.row_masks, I_a)
-        if keys is None:
-            raise InconsistencyError(f"necklace entry {I_a} is not a basis")
-        out |= keys
-    return RPolynomial(
-        factors=tuple(sorted(out, key=PoleFactor.sort_key)),
-        provenance=provenance,
-    )
+    return TransversalMatroid(max(max(r) for r in rows) if n is None else n, rows)
 
 
 def r_poly_necklace(V: Sequence, n: int | None = None) -> RPolynomial:
     """Distinct prime factors of the necklace minors of V."""
-    return _r_poly_radical(V, n, necklace, NECKLACE_RADICAL)
+    return necklace_radicals(_set_system_matroid(V, n))[0]
 
 
 def r_poly_reverse(V: Sequence, n: int | None = None) -> RPolynomial:
     """Distinct prime factors of the reverse-necklace minors of V."""
-    return _r_poly_radical(V, n, reverse_necklace, REVERSE_NECKLACE_RADICAL)
+    return necklace_radicals(_set_system_matroid(V, n))[1]
 
 
 @dataclass(frozen=True)
@@ -269,7 +296,12 @@ class REqualityReport:
 
 
 def check_r_equalities(W: WilsonLoopDiagram) -> REqualityReport:
-    """Compare the edge-product factors against both necklace radicals."""
+    """Compare the edge-product factors against both necklace radicals.
+
+    The radicals come from one transversal matroid of W
+    (:func:`necklace_radicals`): one Hall table, one rank cache, and one
+    factorization per distinct necklace entry.
+    """
     re_ = r_poly_edge(W)
     if W.k == 0:
         # no propagators, no factors: all three routes are empty products
@@ -281,8 +313,7 @@ def check_r_equalities(W: WilsonLoopDiagram) -> REqualityReport:
             ok=True,
             mismatches=(),
         )
-    rn = r_poly_necklace(W.supports(), W.n)
-    rr = r_poly_reverse(W.supports(), W.n)
+    rn, rr = necklace_radicals(diagram_matroid(W))
     se, sn, sr = re_.factor_set(), rn.factor_set(), rr.factor_set()
     mismatches = []
     for name, s in (("necklace", sn), ("reverse", sr)):
@@ -345,8 +376,9 @@ def quad_geometry(
     return e, near, far_p, j_far, k_far
 
 
-def limit_supports(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[frozenset[int], ...]:
-    """Row supports of the set system the factor's vanishing locus lands on.
+def limit_masks(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, ...]:
+    """Row support masks of the set system the factor's vanishing locus
+    lands on.
 
     A single entry x[p, v] drops v from row p.  A quadratic on edge e
     makes the far row proportional to the near row on {e, e+1};
@@ -358,26 +390,34 @@ def limit_supports(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[frozenset[int],
     """
     if f not in r_poly_edge(W).factor_set():
         raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
-    rows = W.supports()
+    n = W.n
+    rows = [support_mask(p, n) for p in W.props]
     if f.kind == "var":
-        rows[f.rows[0] - 1] -= {f.cols[0]}
+        rows[f.rows[0] - 1] &= ~(1 << (f.cols[0] - 1))
     else:
         e, near, far, _, _ = quad_geometry(W, f)
         far_row = W.props.index(far)
-        rows[far_row] = (rows[W.props.index(near)] | rows[far_row]) - {e, cyc(e + 1, W.n)}
+        edge = 1 << (e - 1) | 1 << (cyc(e + 1, n) - 1)
+        rows[far_row] = (rows[W.props.index(near)] | rows[far_row]) & ~edge
     return tuple(rows)
+
+
+def limit_supports(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[frozenset[int], ...]:
+    """The rows of :func:`limit_masks` as vertex sets."""
+    return tuple(map(set_of, limit_masks(W, f)))
 
 
 def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     """Codimension of the factor's vanishing locus inside the cell closure.
 
     One rule for both kinds: codimension one iff the factor's limit set
-    system (:func:`limit_supports`) is minimal in the subset-inequality
-    sense of :func:`is_minimal`, else codimension >= 2.  On every factor
+    system (:func:`limit_masks`) is minimal, that is has no subset
+    violation (:func:`positroids.first_violation`, the core of
+    :func:`is_minimal`), else codimension >= 2.  On every factor
     at k <= 4, n <= 9 (39,770 of them) this gives codimension >= 2
     exactly for the case tags 1a and 3a of ``cancel.classify``.
     """
-    return CODIM_ONE if is_minimal(limit_supports(W, f), W.n).minimal else CODIM_GE2
+    return CODIM_ONE if first_violation(limit_masks(W, f)) is None else CODIM_GE2
 
 
 @dataclass(frozen=True)

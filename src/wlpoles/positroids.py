@@ -101,13 +101,25 @@ class MinimalityReport:
         return self.minimal
 
 
+def first_violation(masks: Sequence[int]) -> int | None:
+    """The first subfamily T of the rows with bit masks ``masks``, itself a
+    bit mask over the rows, that covers fewer than max(|V_i|) + |T| - 1
+    vertices, read off ``row_unions``; None when there is none."""
+    unions = row_unions(masks)
+    widest = row_unions([m.bit_count() for m in masks], max)
+    for T in range(1, len(unions)):
+        if unions[T].bit_count() < widest[T] + T.bit_count() - 1:
+            return T
+    return None
+
+
 def is_minimal(V: Sequence[Iterable[int]], n: int | None = None) -> MinimalityReport:
     """Subset inequality test for a minimal set-system representation.
 
     Every nonempty subfamily T of rows must cover at least
     max(|V_i|) + |T| - 1 vertices; then dimension = (total entries) - k.
-    The covers come from ``row_unions``, and the first violating T in
-    mask order is reported.  No rank test is needed:
+    The first violating T in mask order (:func:`first_violation`) is
+    reported.  No rank test is needed:
     since every row is nonempty, each T then covers at least |T| vertices,
     which is Hall's condition, so the transversal matroid has rank k.
     """
@@ -117,19 +129,12 @@ def is_minimal(V: Sequence[Iterable[int]], n: int | None = None) -> MinimalityRe
     if n is None:
         n = max(max(r) for r in rows)
     k = len(rows)
-    unions = row_unions(row_masks(n, rows))
-    widest = row_unions([len(r) for r in rows], max)
-    violating = None
-    for T in range(1, len(unions)):
-        if unions[T].bit_count() < widest[T] + T.bit_count() - 1:
-            violating = tuple(i + 1 for i in range(k) if T >> i & 1)
-            break
-
-    minimal = violating is None
+    T = first_violation(row_masks(n, rows))
+    minimal = T is None
     return MinimalityReport(
         minimal=minimal,
         dimension=sum(len(r) for r in rows) - k if minimal else None,
-        violating=violating,
+        violating=None if minimal else tuple(i + 1 for i in range(k) if T >> i & 1),
     )
 
 
@@ -153,20 +158,16 @@ class CellDescriptor:
         }
 
 
-def cell_descriptor(V: Sequence[Iterable[int]], n: int | None = None) -> CellDescriptor:
-    """Descriptor of the cell of a set system: its transversal matroid's
-    necklaces and the minimality count as dimension."""
-    rows = tuple(frozenset(r) for r in V)
-    if n is None:
-        n = max(max(r) for r in rows if r)
-    M = TransversalMatroid(n, rows)
+def cell_descriptor(M: TransversalMatroid) -> CellDescriptor:
+    """Descriptor of the cell of a set system, read from its transversal
+    matroid: its necklaces and the minimality count as dimension."""
     return CellDescriptor(
         k=M.k,
-        n=n,
-        rows=rows,
+        n=M.n,
+        rows=M.row_supports,
         necklace=tuple(necklace(M)),
         reverse_necklace=tuple(reverse_necklace(M)),
-        dimension=is_minimal(rows, n).dimension,
+        dimension=is_minimal(M.row_supports, M.n).dimension,
     )
 
 
@@ -178,9 +179,13 @@ def diagram_matrix(W: WilsonLoopDiagram) -> SymbolicMatrix:
     return matrix_from_sets(W.supports(), n=W.n)
 
 
-def diagram_cell(W: WilsonLoopDiagram) -> CellDescriptor:
-    is_positroid(diagram_matroid(W), expect=True)
-    return cell_descriptor(W.supports(), n=W.n)
+def diagram_cell(W: WilsonLoopDiagram, M: TransversalMatroid | None = None) -> CellDescriptor:
+    """The cell of W, from ``M`` when the caller already holds W's matroid;
+    W's matroid must pass the positroid test."""
+    if M is None:
+        M = diagram_matroid(W)
+    is_positroid(M, expect=True)
+    return cell_descriptor(M)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from wlpoles.cancel import (
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams, vertex_support
 from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import VarId, mat_det
+from wlpoles.matroids import TransversalMatroid
 from wlpoles.poles import CODIM_GE2, CODIM_ONE, factor_codim, pole_quad, pole_var
 from wlpoles.positroids import cell_descriptor
 from wlpoles.sampling import TwistorData, twistor_data
@@ -297,7 +298,7 @@ def test_pair_boundary_is_the_cell_of_the_limit_rows():
             frozenset(base.diagram.support(x)) - ({base.factor.cols[0]} if x == p else set())
             for x in base.diagram.props
         ]
-        assert g.verified and g.boundary == cell_descriptor(rows, base.diagram.n)
+        assert g.verified and g.boundary == cell_descriptor(TransversalMatroid(base.diagram.n, rows))
         assert g.boundary.dimension == 3 * base.diagram.k - 1
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wlpoles.cli import main
+from wlpoles.matroids import TransversalMatroid
 
 DIAGRAM = {"n": 6, "props": [[1, 3], [1, 5]]}
 CROSSING = {"n": 8, "props": [[1, 3], [2, 4]]}
@@ -109,6 +110,33 @@ def test_analyze_rejects_more_rows_than_columns(tmp_path, capsys, k):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "never have full rank" in err
+
+
+def test_analyze_names_an_unstructured_necklace_minor(tmp_path, capsys):
+    # twelve cyclic 3-intervals: the necklace minor on 2..13 does not split
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps({"n": 16, "rows": [[i, i + 1, i + 2] for i in range(1, 13)]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: necklace entry 2 [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]: its minor"
+        " does not split into single entries and edge quadratics\n"
+    )
+
+
+@pytest.mark.parametrize("payload, built", [(RAW, 1), (DIAGRAM, 2)], ids=["rows", "diagram"])
+def test_analyze_builds_one_matroid_per_input(tmp_path, capsys, monkeypatch, payload, built):
+    """Rows: one matroid for the radicals, the cell and the flats.  A diagram:
+    one inside check_r_equalities and one for its cell and flats."""
+    count = []
+    init = TransversalMatroid.__init__
+    monkeypatch.setattr(
+        TransversalMatroid, "__init__", lambda self, n, rows: count.append(n) or init(self, n, rows)
+    )
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    assert run(capsys, "analyze", str(path))[0] == 0
+    assert len(count) == built
 
 
 def test_analyze_text_format(tmp_path, capsys):

@@ -11,6 +11,7 @@ from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import mat_rank
 from wlpoles.matroids import (
+    Matroid,
     MatrixMatroid,
     TransversalMatroid,
     check_rank_oracle,
@@ -175,6 +176,22 @@ def test_closure_and_flats():
     cl = M.closure(S)
     assert S <= cl
     assert M.rank(cl) == M.rank(S)
+
+
+def test_flats_are_listed_once_per_matroid(monkeypatch):
+    """structure asks for the flats four times (directly, and through cyclic
+    flats, flacets and the positroid test); the 2^n closures run once."""
+    closures = []
+    closure = Matroid.closure
+    monkeypatch.setattr(Matroid, "closure", lambda self, S: closures.append(S) or closure(self, S))
+    M = diagram_matroid(WilsonLoopDiagram(7, (Propagator.of(1, 3), Propagator.of(1, 5))))
+    flats = M.flats()
+    assert len(closures) == 2 ** 7 and len(flats) == 6
+    flats.clear()  # the caller's copy; the instance keeps its own
+    report = structure(M)
+    assert [F for _, fs in report.flats_by_rank for F in fs] == M.flats()
+    # after the scan, only is_cyclic_flat's one closure per flat
+    assert len(closures) == 2 ** 7 + 6
 
 
 def test_uniform_u24_has_no_flacets():

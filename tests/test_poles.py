@@ -12,18 +12,23 @@ import wlpoles.poles
 from wlpoles.cancel import CASE1A, CASE3A, classify, partners
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, edge_order, enumerate_diagrams
 from wlpoles.errors import InconsistencyError, StructuralError
+from wlpoles.matroids import TransversalMatroid, mask_of
 from wlpoles.poles import (
     _factor_keys,
     _pattern_factor_keys,
     CODIM_GE2,
     CODIM_ONE,
+    NECKLACE_RADICAL,
+    REVERSE_NECKLACE_RADICAL,
     PoleFactor,
     RPolynomial,
     boundary_without_pole,
     check_r_equalities,
     factor_codim,
+    limit_masks,
     limit_rows,
     limit_supports,
+    necklace_radicals,
     pole_quad,
     pole_var,
     quad_geometry,
@@ -119,6 +124,27 @@ def test_limit_rows_shape():
     assert limit_supports(W42, pole_var(1, 4)) == ({1, 2, 3}, {1, 2, 5, 6})
 
 
+def frozenset_limit_supports(W, f):
+    """The limit set system built on vertex sets, as it was before masks."""
+    rows = W.supports()
+    if f.kind == "var":
+        rows[f.rows[0] - 1] -= {f.cols[0]}
+    else:
+        e, near, far, _, _ = quad_geometry(W, f)
+        far_row = W.props.index(far)
+        rows[far_row] = (rows[W.props.index(near)] | rows[far_row]) - {e, e % W.n + 1}
+    return tuple(rows)
+
+
+def test_limit_masks_match_the_frozenset_construction():
+    for k, n in [(k, n) for k in range(1, 5) for n in range(k + 4, 9)]:
+        for W in enumerate_diagrams(k, n):
+            for f in r_poly_edge(W).factors:
+                want = frozenset_limit_supports(W, f)
+                assert limit_masks(W, f) == tuple(map(mask_of, want)), (W, f)
+                assert limit_supports(W, f) == want
+
+
 def test_factor_codim_goldens():
     # deleting the lone interior support column loses two dimensions
     W35 = WilsonLoopDiagram(6, (Propagator.of(1, 4), Propagator.of(1, 5)))
@@ -211,16 +237,74 @@ def test_r_equality_sweep_small():
 
 
 def test_pattern_memo_matches_direct_minors():
-    """Both radical routes equal the union of directly factored minors."""
-    for k, n in ((2, 7), (3, 7)):
+    """Both shared radicals equal the union of their scan's directly
+    factored minors, on every diagram up to (3, 8)."""
+    for k, n in [(k, n) for k in range(1, 4) for n in range(k + 4, 9)]:
         rows = list(range(1, k + 1))
         for W in enumerate_diagrams(k, n):
             S, M = diagram_matrix(W), diagram_matroid(W)
-            for scan, route in ((necklace, r_poly_necklace), (reverse_necklace, r_poly_reverse)):
+            rep = check_r_equalities(W)
+            for scan, shared in ((necklace, rep.necklace), (reverse_necklace, rep.reverse)):
                 direct = set()
                 for I in scan(M):
                     direct |= _factor_keys(S.minor(rows, sorted(I)))
-                assert route(W.supports(), n).factor_set() == direct, (W, scan.__name__)
+                assert shared.factor_set() == direct, (W, scan.__name__)
+            assert (rep.necklace.provenance, rep.reverse.provenance) == (
+                NECKLACE_RADICAL, REVERSE_NECKLACE_RADICAL)
+            if k == 2 and n == 7:
+                assert (r_poly_necklace(W.supports(), n), r_poly_reverse(W.supports(), n)) == (
+                    rep.necklace, rep.reverse)
+
+
+# (k, n) -> (_minor_factor_keys calls, rank computations) of
+# check_r_equalities over every diagram: both scans read one matroid, and
+# each distinct necklace entry is factored once.
+SHARED_RADICAL_WORK = {(2, 7): (406, 1120), (3, 8): (3024, 10908)}
+
+
+@pytest.mark.parametrize("shape", sorted(SHARED_RADICAL_WORK), ids=lambda s: "k%dn%d" % s)
+def test_radicals_share_one_matroid_per_diagram(monkeypatch, shape):
+    counts = Counter()
+    init, rank = TransversalMatroid.__init__, TransversalMatroid._rank
+    minor_keys = wlpoles.poles._minor_factor_keys
+
+    def counted_init(self, n, rows):
+        counts["matroid"] += 1
+        init(self, n, rows)
+
+    def counted_rank(self, mask):
+        counts["rank"] += 1
+        return rank(self, mask)
+
+    def counted_keys(row_masks, cols):
+        counts["minor"] += 1
+        return minor_keys(row_masks, cols)
+
+    monkeypatch.setattr(TransversalMatroid, "__init__", counted_init)
+    monkeypatch.setattr(TransversalMatroid, "_rank", counted_rank)
+    monkeypatch.setattr(wlpoles.poles, "_minor_factor_keys", counted_keys)
+    diagrams = enumerate_diagrams(*shape)
+    for W in diagrams:
+        assert check_r_equalities(W).ok
+    assert counts["matroid"] == len(diagrams)
+    assert (counts["minor"], counts["rank"]) == SHARED_RADICAL_WORK[shape]
+
+
+@pytest.mark.parametrize("rows, n", [
+    ([{1}, {2}], 4),  # coloops: one set, listed (1, 2) from shift 1 and (2, 1) from 2
+    ([{1, 2, 3}, {3}, {3, 4, 5}], 6),
+    (V1, 6),
+], ids=["coloops", "k3", "V1"])
+def test_radicals_factor_each_distinct_entry_once(monkeypatch, rows, n):
+    calls = []
+    minor_keys = wlpoles.poles._minor_factor_keys
+    monkeypatch.setattr(
+        wlpoles.poles, "_minor_factor_keys", lambda m, cols: calls.append(cols) or minor_keys(m, cols)
+    )
+    M = TransversalMatroid(n, rows)
+    necklace_radicals(M)
+    entries = {frozenset(I) for I in necklace(M) + reverse_necklace(M)}
+    assert sorted(calls) == sorted(tuple(sorted(I)) for I in entries)
 
 
 def test_pattern_memo_holds_seven_patterns_at_k2():

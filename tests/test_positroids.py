@@ -150,7 +150,7 @@ def test_diagram_systems_minimal_dimension_3k():
 
 
 def test_cell_descriptor_json():
-    cd = cell_descriptor(V1, 6)
+    cd = cell_descriptor(TransversalMatroid(6, V1))
     js = cd.to_json()
     assert js["k"] == 2 and js["n"] == 6
     assert js["dimension"] == 6
