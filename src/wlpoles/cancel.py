@@ -11,7 +11,8 @@ four ways: equality of the limit matroids (bases and both necklaces), the
 recorded weights summing to zero, one exact row-space certificate that
 every member meets every other member's own limit point, and, for pairs,
 an exact sign identity under localization on twistor data.
-Localized rows are computed once per (propagator, sample).
+Localized rows are computed once per (propagator, sample), from
+integer twistor rows cleared once per sample.
 ``amplitude_report`` runs the whole pipeline for fixed (k, n).
 """
 
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .diagrams import (
     Propagator,
@@ -32,7 +33,8 @@ from .diagrams import (
     vertex_support,
 )
 from .errors import InconsistencyError, StructuralError
-from .exact import Polynomial, VarId, mat_det, mat_rank, poly_det, specialize
+from .exact import Polynomial, VarId, int_det, mat_rank, poly_det, specialize
+from .jsonout import dumps
 from .matroids import Matroid, MatrixMatroid, TransversalMatroid
 from .poles import (
     CODIM_GE2,
@@ -70,22 +72,26 @@ def _localized_row(p: Propagator, Z: TwistorData) -> tuple[Fraction, tuple[tuple
     They depend on p and Z only, so they are computed once per
     (propagator, sample) and kept in ``Z.memo``.  A vanishing gauge
     minor raises and is not kept, so every later call raises too.
+    Each minor is an integer determinant of the sample's cleared rows
+    (``Z.cleared``), divided once by the product of their scales.
     """
     hit = Z.memo.get(p)
     if hit is not None:
         return hit
     slots = vertex_support(p, Z.n)
-    block = [[Fraction(x) for x in Z.rows[s - 1][:4]] for s in slots]
-    d0 = mat_det([row[:] for row in block])
+    cleared = [Z.cleared[s - 1] for s in slots]
+    block = [ints[:4] for ints, _ in cleared]
+    scale = prod(m for _, m in cleared)
+    d0 = int_det([list(row) for row in block])
     if d0 == 0:
         raise StructuralError(f"degenerate twistor data: gauge minor of {p} vanishes")
-    gauge4 = [Fraction(x) for x in Z.gauge[:4]]
+    gauge, g = Z.cleared[-1]
     entries = []
     for pos, m in enumerate(slots):
-        rep = [row[:] for row in block]
-        rep[pos] = gauge4[:]
-        entries.append((m, mat_det(rep)))
-    hit = Z.memo[p] = (d0, tuple(entries))
+        rep = [list(row) for row in block]
+        rep[pos] = list(gauge[:4])
+        entries.append((m, Fraction(int_det(rep), scale // cleared[pos][1] * g)))
+    hit = Z.memo[p] = (Fraction(d0, scale), tuple(entries))
     return hit
 
 
@@ -425,6 +431,30 @@ def _member_limit(m: GroupMember) -> tuple[Matroid, tuple[frozenset[int], ...], 
     return MatrixMatroid(W.n, lam), supports, lam
 
 
+def _cell(M: Matroid) -> tuple[frozenset[frozenset[int]], tuple, tuple]:
+    """Bases, necklace and reverse necklace of a limit matroid.  Necklace
+    entries are listed in shifted order, so the tuples compare as sets."""
+    return M.bases(), tuple(necklace(M)), tuple(reverse_necklace(M))
+
+
+def _limit_cells(matroids: list[Matroid]) -> list[tuple]:
+    """:func:`_cell` of each member's limit matroid, computed once per
+    distinct limit set system of the group, keyed by its sorted row
+    masks (the two members of a pair share one).  A symbolic limit
+    matrix gets its own."""
+    shared: dict[tuple[int, ...], tuple] = {}
+    out = []
+    for M in matroids:
+        if not isinstance(M, TransversalMatroid):
+            out.append(_cell(M))
+            continue
+        key = tuple(sorted(M.row_masks))
+        if key not in shared:
+            shared[key] = _cell(M)
+        out.append(shared[key])
+    return out
+
+
 def _group_base(g: CancellationGroup) -> GroupMember:
     if g.kind in ("pair", "wide"):
         return g.members[0]
@@ -501,7 +531,8 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     """Run all certificates on a group and return it annotated.
 
     Checks: the limit matroids of all members agree (bases, necklace,
-    reverse necklace; pairs also literally share limit supports), the
+    reverse necklace, computed once per distinct limit set system by
+    :func:`_limit_cells`; pairs also literally share limit supports), the
     base member's limit supports pass the minimality rule of
     ``factor_codim`` (a boundary cell of dimension 3k-1), the weights
     the group records sum to zero (a triple's as numerators over 1-e,
@@ -509,8 +540,8 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     member's own limit point (:func:`_meet`, exact and run once), and
     pairs satisfy the exact localization sign identity on every twistor
     sample of :func:`sign_samples`, one set shared by all pairs of the
-    amplitude.  ``trials`` counts only those sign samples,
-    ``max(3, trials)`` of them.
+    amplitude, read from integer localized rows (:func:`_localized_row`).
+    ``trials`` counts only those sign samples, ``max(3, trials)`` of them.
 
     ``boundary`` describes the base member's limit.  For a wide triple
     its ``rows`` are the base quadratic's display supports, not the
@@ -530,8 +561,7 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     checks.append(("limit_rank", rank_ok))
     bases_ok = neck_ok = rev_ok = False
     if rank_ok:
-        # necklace entries are listed in shifted order, so tuples compare as sets
-        cells = [(M.bases(), tuple(necklace(M)), tuple(reverse_necklace(M))) for M, _, _ in limits]
+        cells = _limit_cells([M for M, _, _ in limits])
         bases0, neck0, rev0 = cells[0]
         bases_ok = all(bases == bases0 for bases, _, _ in cells)
         neck_ok = all(neck == neck0 for _, neck, _ in cells)
@@ -740,4 +770,4 @@ def amplitude_report(k: int, n: int, seed: int = 0, trials: int = 10) -> Amplitu
 
 
 def report_json(report: AmplitudeReport) -> str:
-    return json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    return dumps(report.to_json())

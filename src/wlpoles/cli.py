@@ -16,6 +16,7 @@ import sys
 from .cancel import amplitude_report, diagram_token
 from .diagrams import WilsonLoopDiagram, enumerate_diagrams, validate
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
+from .jsonout import dumps
 from .matroids import _STRUCTURE_LIMIT, TransversalMatroid, structure
 from .poles import PoleFactor, check_r_equalities, necklace_radicals
 from .positroids import cell_descriptor, diagram_cell, diagram_matroid
@@ -29,10 +30,6 @@ def _emit(cfg: argparse.Namespace, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _check_cap(cfg: argparse.Namespace) -> str | None:
@@ -67,7 +64,7 @@ def cmd_enumerate(cfg: argparse.Namespace) -> int:
             "count": len(diagrams),
             "diagrams": [W.to_json() for W in diagrams],
         }
-        _emit(cfg, _dump(payload))
+        _emit(cfg, dumps(payload))
     return 0
 
 
@@ -202,7 +199,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
     elif cfg.format == "text":
         _emit(cfg, _analyze_text(payload))
     else:
-        _emit(cfg, _dump(payload))
+        _emit(cfg, dumps(payload))
     return code
 
 
@@ -235,7 +232,7 @@ def cmd_cancel(cfg: argparse.Namespace) -> int:
     else:
         payload = report.to_json()
         payload["command"] = "cancel"
-        _emit(cfg, _dump(payload))
+        _emit(cfg, dumps(payload))
     return 0 if report.status == "complete" else 1
 
 

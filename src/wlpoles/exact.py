@@ -20,7 +20,8 @@ The numeric kernels ``mat_det`` and ``mat_rank`` clear each row's
 denominators and run fraction-free integer elimination (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 1968), so no Fraction is built inside the
-elimination loop.
+elimination loop.  ``int_det`` is the integer kernel alone, for callers
+that clear their rows once and keep them.
 """
 
 from __future__ import annotations
@@ -508,13 +509,22 @@ def specialize(
     return out
 
 
+def clear_row(row: Sequence[Scalar]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm (1 for a
+    row that is already all ``int``, which is copied without a pass)."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    m = lcm(*(x.denominator for x in row))
+    return [x.numerator * (m // x.denominator) for x in row], m
+
+
 def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
     """Each row times the lcm of its denominators, and the product of those lcms."""
     out = []
     scale = 1
     for row in rows:
-        m = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (m // x.denominator) for x in row])
+        ints, m = clear_row(row)
+        out.append(ints)
         scale *= m
     return out, scale
 
@@ -559,17 +569,25 @@ def mat_rank(rows: Iterable[Sequence[Scalar]]) -> int:
     return _bareiss(_integer_rows(rows)[0])[0]
 
 
-def mat_det(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Determinant of a square rational matrix, fraction-free (Bareiss).
+def int_det(work: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, the last Bareiss pivot.
 
-    Row ``i`` is scaled to integers by ``s_i``; the integer
-    determinant is the last Bareiss pivot, and the result divides it
-    by the product of the ``s_i``.
+    ``work`` is eliminated in place; pass a copy to keep it.
     """
-    n = len(rows)
-    work, scale = _integer_rows(rows)
+    n = len(work)
     for r in work:
         if len(r) != n:
             raise ValueError("determinant of a non-square matrix")
     rank, pivot, sign = _bareiss(work)
-    return Fraction(sign * pivot, scale) if rank == n else Fraction(0)
+    return sign * pivot if rank == n else 0
+
+
+def mat_det(rows: Sequence[Sequence[Scalar]]) -> Fraction:
+    """Determinant of a square rational matrix, fraction-free (Bareiss).
+
+    Row ``i`` is scaled to integers by ``s_i``; the integer
+    determinant (:func:`int_det`) is divided by the product of the
+    ``s_i``.
+    """
+    work, scale = _integer_rows(rows)
+    return Fraction(int_det(work), scale)

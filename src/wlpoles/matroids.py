@@ -314,14 +314,17 @@ class PositroidVerdict:
         return self.ok
 
 
-def is_positroid(M: Matroid, expect: bool = False) -> PositroidVerdict:
+def is_positroid(
+    M: Matroid, expect: bool = False, flacets: Sequence[frozenset[int]] | None = None
+) -> PositroidVerdict:
     """Necessary test: every flacet must be a cyclic interval.
 
     With ``expect`` a failure is promoted to an inconsistency: the
     caller asserts on other grounds that M must pass (admissible
-    diagrams always do), so a counterexample means a bug.
+    diagrams always do), so a counterexample means a bug.  A caller
+    that has already listed ``M.flacets()`` passes them as ``flacets``.
     """
-    for f in M.flacets():
+    for f in M.flacets() if flacets is None else flacets:
         if not is_cyclic_interval(f, M.n):
             if expect:
                 raise InconsistencyError(
@@ -352,17 +355,20 @@ class FlatReport:
 
 
 def structure(M: Matroid) -> FlatReport:
+    """Flats by rank, cyclic flats, flacets, connectivity and the positroid
+    verdict, which is read from the one list of flacets."""
     by_rank: dict[int, list[frozenset[int]]] = {}
     for f in M.flats():
         by_rank.setdefault(M.rank(f), []).append(f)
+    flacets = tuple(M.flacets())
     return FlatReport(
         flats_by_rank=tuple(
             (r, tuple(by_rank[r])) for r in sorted(by_rank)
         ),
         cyclic_flats=tuple(M.cyclic_flats()),
-        flacets=tuple(M.flacets()),
+        flacets=flacets,
         connected=M.is_connected(),
-        positroid=is_positroid(M).ok,
+        positroid=is_positroid(M, flacets=flacets).ok,
     )
 
 

@@ -142,6 +142,15 @@ class RPolynomial:
         return self._factor_set
 
 
+# The (n, props) of inadmissible diagrams r_poly_edge has refused, oldest
+# first.  lru_cache keeps no call that raises, and partner moves reach the
+# same rejected diagram again (540 visits of 324 diagrams in the (3, 9)
+# front half), so the refusals are kept here, bounded.  The key is a
+# quarter of the size of the diagram object, which is not kept alive.
+_REJECTED: dict[tuple[int, tuple[Propagator, ...]], None] = {}
+_REJECTED_MAX = 1024
+
+
 # Shape-sized: room for every diagram of (3, 9) (825) and (4, 9) (1,485), so
 # each R is computed once per shape, and still bounded across a sweep.  An
 # entry holds interned factors only, about 1 KB.
@@ -153,9 +162,16 @@ def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
     contributes x_{q_1,e+1}, the s-1 quadratics on columns (e, e+1)
     for adjacent pairs, and x_{q_s,e}.  Factors are collected as a
     set; a repeat across edges would contradict square-freeness.
+    An inadmissible diagram raises; it is validated once while it stays
+    in ``_REJECTED``.
     """
-    verdict = validate(W)
-    if not verdict.admissible:
+    key = (W.n, W.props)
+    if key in _REJECTED:
+        raise StructuralError(f"diagram not admissible: {W}")
+    if not validate(W).admissible:
+        if len(_REJECTED) >= _REJECTED_MAX:
+            del _REJECTED[next(iter(_REJECTED))]
+        _REJECTED[key] = None
         raise StructuralError(f"diagram not admissible: {W}")
     n = W.n
     row_of = {p: i for i, p in enumerate(W.props, start=1)}

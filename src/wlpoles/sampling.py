@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import StructuralError
-from .exact import mat_det
+from .exact import clear_row, int_det
 
 
 def seeded_rng(seed: int, *key) -> random.Random:
@@ -36,14 +36,22 @@ class TwistorData:
 
     ``rows`` is an n-tuple of (k+4)-tuples with every ordered maximal
     minor strictly positive.  ``gauge`` is the reference row Z_0 used
-    by the localization determinants.  ``memo`` holds values derived
-    from this sample alone (``cancel.localize`` keeps each propagator's
-    localized row there); it is not part of the sample's identity.
+    by the localization determinants.  ``cleared`` holds each row, and
+    last the gauge row, times the lcm of its denominators, with that
+    positive lcm; it is computed once per sample, so the determinants
+    below run on integers.  ``memo`` holds values derived from this
+    sample alone (``cancel.localize`` keeps each propagator's localized
+    row there).  Neither is part of the sample's identity.
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
     gauge: tuple[Fraction, ...]
+    cleared: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, compare=False, repr=False)
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        cleared = tuple((tuple(ints), m) for ints, m in map(clear_row, self.rows + (self.gauge,)))
+        object.__setattr__(self, "cleared", cleared)
 
     @property
     def n(self) -> int:
@@ -54,13 +62,17 @@ class TwistorData:
         return len(self.rows[0])
 
     def check_positive(self) -> None:
-        """Verify all ordered maximal minors are positive, exactly."""
+        """Verify all ordered maximal minors are positive, exactly.
+
+        Each minor's sign is read on the cleared integer rows: every
+        row scale is positive, so it is the sign of the rational minor.
+        """
         n, w = self.n, self.width
         if n < w:
             raise StructuralError(f"need at least {w} rows, got {n}")
+        rows = [ints for ints, _ in self.cleared[:n]]
         for combo in itertools.combinations(range(n), w):
-            d = mat_det([self.rows[i] for i in combo])
-            if d <= 0:
+            if int_det([list(rows[i]) for i in combo]) <= 0:
                 raise StructuralError(f"non-positive minor at rows {combo}")
 
 

@@ -21,7 +21,7 @@ from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams, 
 from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import VarId, mat_det
 from wlpoles.matroids import TransversalMatroid
-from wlpoles.poles import CODIM_GE2, CODIM_ONE, factor_codim, pole_quad, pole_var
+from wlpoles.poles import CODIM_GE2, CODIM_ONE, factor_codim, limit_supports, pole_quad, pole_var
 from wlpoles.positroids import cell_descriptor
 from wlpoles.sampling import TwistorData, twistor_data
 
@@ -90,6 +90,7 @@ def test_localize_memo_matches_determinants():
     assert not Z.memo
     assert [localize(W, Z) for W in diagrams] == want  # fills the memo
     assert len(Z.memo) == len({p for W in diagrams for p in W.props})
+    assert all(isinstance(key, Propagator) for key in Z.memo)  # cleared rows live apart
     assert [localize(W, Z) for W in diagrams] == want  # answered from it
 
 
@@ -329,14 +330,18 @@ def test_sign_samples_drawn_once_per_amplitude(monkeypatch):
 
 
 def test_localize_det_calls_per_propagator_sample(monkeypatch):
+    """Localization runs at most five 4x4 integer determinants per
+    localized propagator and sample, and no rational ``mat_det``."""
     calls = []
-    det = wlpoles.cancel.mat_det
+    det = wlpoles.cancel.int_det
 
     def counted_det(rows):
+        assert all(type(x) is int for row in rows for x in row)
         calls.append(len(rows))
         return det(rows)
 
-    monkeypatch.setattr(wlpoles.cancel, "mat_det", counted_det)
+    monkeypatch.setattr(wlpoles.cancel, "int_det", counted_det)
+    assert not hasattr(wlpoles.cancel, "mat_det")
     sign_samples.cache_clear()
     try:
         rep = amplitude_report(2, 6, trials=10)
@@ -346,6 +351,47 @@ def test_localize_det_calls_per_propagator_sample(monkeypatch):
     localized = {p for g in rep.groups if g.kind == "pair" for m in g.members for p in m.diagram.props}
     assert calls and set(calls) == {4}
     assert len(calls) <= 5 * len(localized) * 10
+
+
+def test_limit_cell_computed_once_per_pair(monkeypatch):
+    """The two members of a pair share one limit set system, so its cell
+    (bases and both necklaces) is computed once; a triple computes one per
+    distinct system, its symbolic limit matrices each their own."""
+    calls = []
+    cell = wlpoles.cancel._cell
+    monkeypatch.setattr(wlpoles.cancel, "_cell", lambda M: calls.append(M) or cell(M))
+    rep = amplitude_report(2, 6, seed=0, trials=3)
+    pairs = [g for g in rep.groups if g.kind == "pair"]
+    assert rep.status == "complete" and pairs
+    for g in rep.groups:
+        calls.clear()
+        assert verify_group(g, trials=3, seed=0) == g
+        systems = {
+            frozenset(limit_supports(m.diagram, m.factor)) if m.factor.kind == "var" else m
+            for m in g.members
+        }
+        assert len(calls) == len(systems)
+        if g.kind == "pair":
+            assert len(calls) == 1
+
+
+def test_pair_cell_checks_fail_on_a_shifted_vertex():
+    """A second member whose limit set system differs from the first's by
+    one vertex fails both the bases and the limit supports checks."""
+    g = partners(W42, pole_var(1, 3))
+    first, second = g.members
+    W2, f2 = second.diagram, second.factor
+    other = next(c for c in W2.support(W2.props[f2.rows[0] - 1]) if c != f2.cols[0])
+    moved = dataclasses.replace(second, factor=pole_var(f2.rows[0], other))
+    old, new = (limit_supports(W2, f) for f in (f2, moved.factor))
+    assert sum(a != b for a, b in zip(old, new)) == 1
+    assert verify_group(g, trials=3, seed=1).verified
+    bad = verify_group(dataclasses.replace(g, members=(first, moved)), trials=3, seed=1)
+    checks = dict(bad.checks)
+    assert checks["limit_rank"] is True
+    assert checks["boundary_bases_equal"] is False
+    assert checks["limit_supports_equal"] is False
+    assert "limit matroids of the members differ" in bad.failures and not bad.verified
 
 
 def test_verify_wide_triple():

@@ -11,6 +11,9 @@ from wlpoles.errors import UnstructuredResidualError
 from wlpoles.exact import (
     Polynomial,
     VarId,
+    _integer_rows,
+    clear_row,
+    int_det,
     mat_det,
     mat_rank,
     poly_det,
@@ -245,6 +248,24 @@ def test_mat_det_row_swaps():
         m = _rand_matrix(rng, n, n)
         m[0][0] = Fraction(0)
         assert mat_det([row[:] for row in m]) == _fraction_det(m)
+
+
+def test_int_det_and_cleared_rows_match_mat_det():
+    m = [[Fraction(1, 3), 2, Fraction(-5, 4)], [1, 0, 7], [Fraction(2, 9), Fraction(1, 2), 3]]
+    cleared = [clear_row(row) for row in m]
+    scale = 1
+    for _, s in cleared:
+        scale *= s
+    assert Fraction(int_det([ints for ints, _ in cleared]), scale) == mat_det(m) == _fraction_det(m)
+    assert int_det([[0, 1], [1, 0]]) == -1 and int_det([[1, 2], [2, 4]]) == 0 and int_det([]) == 1
+
+
+def test_clear_row_copies_an_integer_row_without_an_lcm_pass():
+    row = [3, -4, 0]
+    ints, scale = clear_row(row)
+    assert ints == row and ints is not row and scale == 1
+    assert clear_row([Fraction(1, 6), Fraction(3, 4), 2]) == ([2, 9, 24], 12)
+    assert _integer_rows([row, [Fraction(1, 2), 1]]) == ([[3, -4, 0], [1, 2]], 2)
 
 
 def test_mat_det_rejects_non_square():

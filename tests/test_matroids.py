@@ -194,6 +194,24 @@ def test_flats_are_listed_once_per_matroid(monkeypatch):
     assert len(closures) == 2 ** 7 + 6
 
 
+def test_structure_lists_flacets_once(monkeypatch):
+    """structure reads its positroid verdict from its one list of flacets,
+    and the verdict can still fail: {1, 3} is a flacet of rows {1, 3},
+    {2, 4} and not a cyclic interval."""
+    calls = []
+    flacets = Matroid.flacets
+    monkeypatch.setattr(Matroid, "flacets", lambda self: calls.append(self) or flacets(self))
+    good = diagram_matroid(WilsonLoopDiagram(7, (Propagator.of(1, 3), Propagator.of(1, 5))))
+    bad = TransversalMatroid(4, [{1, 3}, {2, 4}])
+    for M, positroid in ((good, True), (bad, False)):
+        calls.clear()
+        report = structure(M)
+        assert len(calls) == 1
+        assert report.positroid is positroid
+    assert frozenset({1, 3}) in report.flacets
+    assert is_positroid(bad).witness == frozenset({1, 3})
+
+
 def test_uniform_u24_has_no_flacets():
     M = TransversalMatroid(4, [{1, 2, 3, 4}, {1, 2, 3, 4}])
     assert M.k == 2

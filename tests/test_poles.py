@@ -112,6 +112,24 @@ def test_r_poly_rejects_inadmissible():
     assert r_poly_edge(twin).factor_set() == r_poly_edge(W42).factor_set()
 
 
+def test_rejected_diagrams_are_validated_once_and_the_memo_is_bounded(monkeypatch):
+    calls = []
+    check = wlpoles.poles.validate
+    monkeypatch.setattr(wlpoles.poles, "validate", lambda W: calls.append(W) or check(W))
+    monkeypatch.setattr(wlpoles.poles, "_REJECTED", {})
+    monkeypatch.setattr(wlpoles.poles, "_REJECTED_MAX", 2)
+    crossing = [WilsonLoopDiagram(8, (Propagator.of(1, 3), Propagator.of(2, e))) for e in (4, 5, 6)]
+    for W in crossing[:1] * 3:
+        with pytest.raises(StructuralError):
+            r_poly_edge(W)
+    assert calls == crossing[:1]
+    for W in crossing:
+        with pytest.raises(StructuralError):
+            r_poly_edge(W)
+    assert list(wlpoles.poles._REJECTED) == [(W.n, W.props) for W in crossing[1:]]  # the oldest dropped
+    assert calls == crossing
+
+
 def test_limit_rows_shape():
     rows = limit_rows(W42.supports(), 6, 1, 2, 1)
     # the far row keeps its own far-end entries and borrows scaled near
@@ -318,9 +336,10 @@ def test_pattern_memo_holds_seven_patterns_at_k2():
 def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
     """The front-half calls over every (3, 8) diagram, partners included,
     compute R once per diagram, whatever the visit order.  A partner move
-    that leaves the admissible diagrams is an R miss that raises and is
-    not kept; after enumeration, ``validate`` runs only inside R misses,
-    so a partner's R is its only admissibility check."""
+    that leaves the admissible diagrams is an R miss that raises; the
+    refusal is kept in the bounded ``_REJECTED`` memo, so each rejected
+    diagram is validated once.  After enumeration, ``validate`` runs only
+    inside R misses, so a partner's R is its only admissibility check."""
     order = enumerate_diagrams(3, 8)
     random.Random(5).shuffle(order)
     check = wlpoles.diagrams.validate
@@ -336,6 +355,7 @@ def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
     monkeypatch.setattr(wlpoles.diagrams, "validate", counted)
     monkeypatch.setattr(wlpoles.poles, "validate", counted)
     r_poly_edge.cache_clear()
+    wlpoles.poles._REJECTED.clear()
     try:
         for W in order:
             assert check_r_equalities(W).ok
@@ -350,9 +370,10 @@ def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
         info = r_poly_edge.cache_info()
     finally:
         r_poly_edge.cache_clear()
-    assert callers == Counter({"r_poly_edge": 588})
+    assert callers == Counter({"r_poly_edge": 468})
     assert info.currsize == verdicts[True] == len(order) == 300
-    assert verdicts[False] == 288  # rejected partner diagrams, each a raising miss
+    # 288 raising misses reach 168 distinct rejected partner diagrams
+    assert verdicts[False] == len(wlpoles.poles._REJECTED) == 168
     assert info.misses == 588
 
 

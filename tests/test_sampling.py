@@ -45,3 +45,21 @@ def test_twistor_zero_gauge():
 def test_twistor_determinism():
     assert twistor_data(2, 6, seed=9) == twistor_data(2, 6, seed=9)
     assert twistor_data(2, 6, seed=9) != twistor_data(2, 6, seed=10)
+
+
+def test_cleared_rows_are_positive_integer_multiples():
+    Z = twistor_data(2, 7, seed=4)
+    assert len(Z.cleared) == Z.n + 1  # the gauge row last
+    for (ints, m), row in zip(Z.cleared, Z.rows + (Z.gauge,)):
+        assert m > 0 and all(type(x) is int for x in ints)
+        assert [Fraction(x, m) for x in ints] == list(row)
+    assert not Z.memo
+
+
+def test_check_positive_fails_on_a_negated_row():
+    Z = twistor_data(2, 7, seed=4)
+    Z.check_positive()
+    rows = list(Z.rows)
+    rows[3] = tuple(-x for x in rows[3])
+    with pytest.raises(StructuralError, match="non-positive minor"):
+        TwistorData(rows=tuple(rows), gauge=Z.gauge).check_positive()
