@@ -216,7 +216,7 @@ class GroupMember:
     weight: str
 
     def token(self) -> str:
-        return f"{diagram_token(self.diagram)}/{self.factor.label()}"
+        return f"{self.diagram.token}/{self.factor.label()}"
 
     def to_json(self) -> dict:
         return {
@@ -264,7 +264,7 @@ class CancellationGroup:
 
 
 def diagram_token(W: WilsonLoopDiagram) -> str:
-    return ";".join(f"{p.e1}-{p.e2}" for p in W.props) or "0"
+    return W.token
 
 
 def _entry_key(entry: tuple[WilsonLoopDiagram, PoleFactor]) -> tuple:
@@ -275,14 +275,16 @@ def _move(W, remove, add, on, col) -> tuple[WilsonLoopDiagram, PoleFactor]:
     """The partner entry one propagator swap away: W with ``remove``
     replaced by ``add``, and its factor on the propagators ``on`` at
     column ``col`` (the single entry of one propagator, or the quadratic
-    of two on edge ``col``).  The partner's R is its only admissibility
-    check, and the factor must be one of its factors.
+    of two on edge ``col``).  The partner diagram is the shared one of
+    ``WilsonLoopDiagram.of``, so its R memo entry is found by its stored
+    hash.  The partner's R is its only admissibility check, and the
+    factor must be one of its factors.
     """
     if add in W.props:
         raise InconsistencyError(f"partner {add} already present in {W}")
     if remove not in W.props:
         raise StructuralError(f"{remove} is not a propagator of {W}")
-    W2 = WilsonLoopDiagram(W.n, tuple(p for p in W.props if p != remove) + (add,))
+    W2 = WilsonLoopDiagram.of(W.n, [p for p in W.props if p != remove] + [add])
     try:
         R = r_poly_edge(W2)
     except StructuralError:

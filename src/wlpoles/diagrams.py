@@ -8,13 +8,18 @@ edges; it is supported by the four vertices bounding those edges.
 Degenerate propagators (adjacent edges, or the same pair listed
 twice) may be constructed; they are reported by :func:`validate`
 through the density conditions rather than rejected up front.
+
+A diagram is built once per (n, props) through
+:meth:`WilsonLoopDiagram.of`, and it carries the facts every stage asks
+of it, computed once when it is built: its hash, its token and the bit
+masks of its row supports.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import StructuralError
@@ -62,20 +67,23 @@ def vertex_support(p: Propagator, n: int, strict: bool = True) -> tuple[int, ...
     return tuple(out)
 
 
-# Memoized like cancel._through: n(n-3)/2 propagators per n, and every
-# factor's limit set system asks for each row of its diagram.
-@functools.lru_cache(maxsize=1024)
-def support_mask(p: Propagator, n: int) -> int:
-    """Bit mask of the vertices supporting p, strict as :func:`vertex_support`."""
-    return mask_of(vertex_support(p, n))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WilsonLoopDiagram:
-    """A set of propagators on [n], stored in canonical sorted order."""
+    """A set of propagators on [n], stored in canonical sorted order.
+
+    Slotted, with three facts stored once when it is built, in slots left
+    out of comparison and repr: its hash, which is the hash of (n, props);
+    its ``token``, the propagators as "1-3;2-5" ("0" for none); and
+    ``masks``, the bit masks of its row supports, non-strict as
+    :func:`validate` reads them.  :meth:`of` shares one diagram per
+    (n, props).
+    """
 
     n: int
     props: tuple[Propagator, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    token: str = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -85,6 +93,20 @@ class WilsonLoopDiagram:
             if not (1 <= p.e1 <= self.n and 1 <= p.e2 <= self.n):
                 raise StructuralError(f"propagator {p} out of range for n={self.n}")
         object.__setattr__(self, "props", norm)
+        object.__setattr__(self, "_hash", hash((self.n, norm)))
+        object.__setattr__(self, "token", ";".join(f"{p.e1}-{p.e2}" for p in norm) or "0")
+        object.__setattr__(self, "masks", tuple(
+            mask_of(vertex_support(p, self.n, strict=False)) for p in norm
+        ))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @staticmethod
+    def of(n: int, props: Iterable[Propagator]) -> "WilsonLoopDiagram":
+        """The shared diagram equal to ``WilsonLoopDiagram(n, props)``,
+        keyed on the sorted props, so their order does not matter."""
+        return _interned(n, tuple(sorted(props)))
 
     @property
     def k(self) -> int:
@@ -122,6 +144,11 @@ class WilsonLoopDiagram:
     def __str__(self) -> str:
         inner = ",".join(str(p) for p in self.props)
         return f"({{{inner}}},[{self.n}])"
+
+
+# Bounded: room for every diagram a (4, 9) front half meets, and partner
+# moves land on the diagram enumeration and the R memo already hold.
+_interned = functools.lru_cache(maxsize=4096)(WilsonLoopDiagram)
 
 
 def propagator_flat(P: Iterable[Propagator], W: WilsonLoopDiagram) -> frozenset[int]:
@@ -176,7 +203,7 @@ def validate(W: WilsonLoopDiagram) -> AdmissibilityVerdict:
         (p, q) for p, q in itertools.combinations(W.props, 2) if crossing(p, q)
     )
 
-    unions = row_unions([mask_of(vertex_support(p, W.n, strict=False)) for p in W.props])
+    unions = row_unions(W.masks)
     short = [
         tuple(i for i in range(W.k) if T >> i & 1)
         for T in range(1, len(unions))
@@ -241,7 +268,7 @@ def enumerate_diagrams(k: int, n: int) -> list[WilsonLoopDiagram]:
     if n < k + 4:
         return []
     if k == 0:
-        return [WilsonLoopDiagram(n, ())]
+        return [WilsonLoopDiagram.of(n, ())]
 
     candidates = valid_propagators(n)
     out: list[WilsonLoopDiagram] = []
@@ -249,7 +276,7 @@ def enumerate_diagrams(k: int, n: int) -> list[WilsonLoopDiagram]:
 
     def extend(start: int) -> None:
         if len(chosen) == k:
-            W = WilsonLoopDiagram(n, tuple(chosen))
+            W = WilsonLoopDiagram.of(n, chosen)
             if is_admissible(W):
                 out.append(W)
             return

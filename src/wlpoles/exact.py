@@ -2,8 +2,12 @@
 
 Everything downstream (pole polynomials, symbolic minors, Jacobian
 probes) is built on the small ring implemented here.  Coefficients are
-``fractions.Fraction`` throughout, so equality tests are exact and no
-tolerance ever enters the picture.
+exact rationals: an integer coefficient is kept as an ``int``, so sums,
+products and determinants of integer polynomials stay in ``int``, and a
+``fractions.Fraction`` appears only where a division leaves the
+integers.  Equality tests are exact and no tolerance or float ever
+enters the picture; an ``int`` and a ``Fraction`` of equal value compare
+and hash alike, so polynomials do too.
 
 Variables are ``VarId(row, col)`` pairs: ``row`` indexes a matrix row
 (a propagator) and ``col`` a cyclic vertex.  Auxiliary variables with
@@ -112,16 +116,26 @@ def _mono_div(b: Mono, a: Mono) -> Mono:
     return tuple(sorted(quot.items()))
 
 
+def _scalar(c) -> Scalar:
+    """An exact coefficient: an ``int`` as it is, anything else through
+    ``Fraction``, with an integral value returned as an ``int``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients,
+    ``int`` where they are integers."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[Mono, Scalar] = {}
         if terms:
             for mono, coef in terms.items():
-                c = Fraction(coef)
+                c = _scalar(coef)
                 if c:
                     clean[mono] = c
         self.terms = clean
@@ -134,11 +148,11 @@ class Polynomial:
 
     @staticmethod
     def constant(c: Scalar) -> "Polynomial":
-        return Polynomial({(): Fraction(c)})
+        return Polynomial({(): c})
 
     @staticmethod
     def variable(var: VarId) -> "Polynomial":
-        return Polynomial({((var, 1),): Fraction(1)})
+        return Polynomial({((var, 1),): 1})
 
     @staticmethod
     def cross_term(a: int, b: int, i: int, j: int) -> "Polynomial":
@@ -147,8 +161,8 @@ class Polynomial:
         xaj, xbi = VarId(a, j), VarId(b, i)
         return Polynomial(
             {
-                tuple(sorted(((xai, 1), (xbj, 1)))): Fraction(1),
-                tuple(sorted(((xaj, 1), (xbi, 1)))): Fraction(-1),
+                tuple(sorted(((xai, 1), (xbj, 1)))): 1,
+                tuple(sorted(((xaj, 1), (xbi, 1)))): -1,
             }
         )
 
@@ -208,7 +222,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
@@ -240,17 +254,17 @@ class Polynomial:
                 seen.add(var)
         return seen
 
-    def leading(self) -> tuple[Mono, Fraction]:
+    def leading(self) -> tuple[Mono, Scalar]:
         """Leading (monomial, coefficient) in lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         mono = min(self.terms, key=_mono_key)
         return mono, self.terms[mono]
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         """The value of a constant polynomial; error if non-constant."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and () in self.terms:
             return self.terms[()]
         raise ValueError(f"not a constant: {self}")
@@ -258,7 +272,7 @@ class Polynomial:
     # calculus and evaluation
 
     def derivative(self, var: VarId) -> "Polynomial":
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         for mono, coef in self.terms.items():
             for idx, (v, e) in enumerate(mono):
                 if v != var:
@@ -289,21 +303,28 @@ class Polynomial:
         return total
 
     def div_exact(self, divisor: "Polynomial") -> "Polynomial | None":
-        """Return self / divisor if the division is exact, else None."""
+        """Return self / divisor if the division is exact, else None.
+
+        Each quotient coefficient is an exact rational: ``//`` when two
+        ``int``s divide evenly, else a ``Fraction`` (``int / int`` would
+        be a float, inexact above 2^53)."""
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return Polynomial.zero()
         lead_mono, lead_coef = divisor.leading()
-        quotient: dict[Mono, Fraction] = {}
+        quotient: dict[Mono, Scalar] = {}
         rem = self
         while rem.terms:
             rmono, rcoef = rem.leading()
             if not _mono_divides(lead_mono, rmono):
                 return None
             qmono = _mono_div(rmono, lead_mono)
-            qcoef = rcoef / lead_coef
-            quotient[qmono] = quotient.get(qmono, Fraction(0)) + qcoef
+            if type(rcoef) is int and type(lead_coef) is int and rcoef % lead_coef == 0:
+                qcoef = rcoef // lead_coef
+            else:
+                qcoef = Fraction(rcoef, lead_coef)
+            quotient[qmono] = quotient.get(qmono, 0) + qcoef
             rem = rem - Polynomial({qmono: qcoef}) * divisor
         return Polynomial(quotient)
 
@@ -359,7 +380,7 @@ class Factorization:
 
     var_factors: tuple[tuple[VarId, int], ...]
     cross_factors: tuple[tuple[tuple[int, int, int, int], int], ...]
-    residual: Fraction
+    residual: Scalar
     ok: bool
 
 
@@ -443,7 +464,7 @@ def structured_factorize(poly: Polynomial, strict: bool = False) -> Factorizatio
             raise UnstructuredResidualError(
                 f"non-constant residual after factoring: {reduced}"
             )
-        return Factorization(var_factors, cross_factors, Fraction(0), False)
+        return Factorization(var_factors, cross_factors, 0, False)
     return Factorization(var_factors, cross_factors, residual, ok)
 
 
@@ -491,7 +512,7 @@ def specialize(
     """Rows of polynomials keyed by column 1..n, as full rows at ``point``.
 
     A variable not yet in ``point`` gets one draw ``rng.randint(1, 2**30)``.
-    Integer coefficients stay ints, so integer polynomials give integer
+    Integer coefficients are ints, so integer polynomials give integer
     rows without building a Fraction.
     """
     out = []
@@ -499,7 +520,7 @@ def specialize(
         vals = [0] * n
         for c, poly in row.items():
             for mono, coef in poly.terms.items():
-                term = coef.numerator if coef.denominator == 1 else coef
+                term = coef
                 for var, exp in mono:
                     if var not in point:
                         point[var] = rng.randint(1, 1 << 30)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InconsistencyError, StructuralError
 from .exact import Polynomial, VarId, mat_rank, poly_det, specialize
@@ -49,15 +49,21 @@ def row_masks(n: int, rows: Sequence[frozenset[int]]) -> tuple[int, ...]:
     return tuple(mask_of(sup) for sup in rows)
 
 
-def row_unions(masks: Sequence[int], op: Callable[[int, int], int] = int.__or__) -> list[int]:
-    """Union U_T (or another op folded alike) of the row masks in each T,
-    indexed by T as a bit mask; 2^rows steps, each from T less its lowest row."""
+def union_table(masks: Sequence[int]) -> list[int]:
+    """A zeroed table with one slot per subfamily T of the rows, indexed by
+    T as a bit mask: 2^rows entries, so at most 20 rows."""
     if len(masks) > _ROW_LIMIT:
         raise StructuralError(f"subset-union table capped at {_ROW_LIMIT} rows, got {len(masks)}")
-    out = [0] * (1 << len(masks))
+    return [0] * (1 << len(masks))
+
+
+def row_unions(masks: Sequence[int]) -> list[int]:
+    """Union U_T of the row masks in each T, indexed by T as a bit mask;
+    2^rows steps, each from T less its lowest row."""
+    out = union_table(masks)
     for T in range(1, len(out)):
         low = T & -T
-        out[T] = op(out[T ^ low], masks[low.bit_length() - 1])
+        out[T] = out[T ^ low] | masks[low.bit_length() - 1]
     return out
 
 

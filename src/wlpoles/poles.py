@@ -29,7 +29,6 @@ from .diagrams import (
     cyc,
     edge_order,
     propagator_flat,
-    support_mask,
     validate,
 )
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
@@ -55,18 +54,21 @@ NECKLACE_RADICAL = "necklace-radical"
 REVERSE_NECKLACE_RADICAL = "reverse-necklace-radical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoleFactor:
     """One prime factor of R: a single entry or a 2x2 adjacent-pair minor.
 
     Identity is (kind, rows, cols); the originating edge is bookkeeping
-    and excluded from comparison.
+    and excluded from comparison.  Slotted, with the hash of its identity
+    and its label stored once, in slots left out of comparison and repr.
     """
 
     kind: str
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     edge: int | None = field(default=None, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == "var":
@@ -79,6 +81,12 @@ class PoleFactor:
                 raise StructuralError(f"quad factor not canonical {self}")
         else:
             raise StructuralError(f"unknown factor kind {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.rows, self.cols)))
+        label = ":".join([self.kind, *map(str, self.rows), *map(str, self.cols)])
+        object.__setattr__(self, "_label", label)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def polynomial(self) -> Polynomial:
         if self.kind == "var":
@@ -91,8 +99,7 @@ class PoleFactor:
         return (self.kind, self.rows, self.cols)
 
     def label(self) -> str:
-        parts = [self.kind, *map(str, self.rows), *map(str, self.cols)]
-        return ":".join(parts)
+        return self._label
 
     def to_json(self) -> dict:
         if self.kind == "var":
@@ -146,7 +153,8 @@ class RPolynomial:
 # first.  lru_cache keeps no call that raises, and partner moves reach the
 # same rejected diagram again (540 visits of 324 diagrams in the (3, 9)
 # front half), so the refusals are kept here, bounded.  The key is a
-# quarter of the size of the diagram object, which is not kept alive.
+# quarter of the size of the diagram object, which stays alive anyway in
+# the bounded memo of WilsonLoopDiagram.of that cancel._move builds it by.
 _REJECTED: dict[tuple[int, tuple[Propagator, ...]], None] = {}
 _REJECTED_MAX = 1024
 
@@ -407,7 +415,7 @@ def limit_masks(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, ...]:
     if f not in r_poly_edge(W).factor_set():
         raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
     n = W.n
-    rows = [support_mask(p, n) for p in W.props]
+    rows = list(W.masks)
     if f.kind == "var":
         rows[f.rows[0] - 1] &= ~(1 << (f.cols[0] - 1))
     else:

@@ -18,7 +18,7 @@ from .diagrams import WilsonLoopDiagram, cyc
 from .errors import StructuralError
 from .exact import Polynomial
 from .matrices import SymbolicMatrix, matrix_from_sets
-from .matroids import Matroid, TransversalMatroid, is_positroid, row_masks, row_unions
+from .matroids import Matroid, TransversalMatroid, is_positroid, row_masks, union_table
 
 
 def gale_key(v: int, a: int, n: int) -> int:
@@ -104,11 +104,18 @@ class MinimalityReport:
 def first_violation(masks: Sequence[int]) -> int | None:
     """The first subfamily T of the rows with bit masks ``masks``, itself a
     bit mask over the rows, that covers fewer than max(|V_i|) + |T| - 1
-    vertices, read off ``row_unions``; None when there is none."""
-    unions = row_unions(masks)
-    widest = row_unions([m.bit_count() for m in masks], max)
+    vertices; None when there is none.  One pass builds the union and the
+    widest row of each T from T less its lowest row, as ``row_unions``
+    does, and stops at the first violation."""
+    sizes = [m.bit_count() for m in masks]
+    unions = union_table(masks)
+    widest = unions[:]
     for T in range(1, len(unions)):
-        if unions[T].bit_count() < widest[T] + T.bit_count() - 1:
+        low = T & -T
+        i = low.bit_length() - 1
+        covered = unions[T] = unions[T ^ low] | masks[i]
+        width = widest[T] = max(widest[T ^ low], sizes[i])
+        if covered.bit_count() < width + T.bit_count() - 1:
             return T
     return None
 

@@ -19,6 +19,7 @@ from wlpoles.diagrams import (
     vertex_support,
 )
 from wlpoles.errors import StructuralError
+from wlpoles.matroids import mask_of
 
 
 def test_cyc_wraps():
@@ -195,3 +196,61 @@ def test_rotate_preserves_admissibility():
     for W in enumerate_diagrams(2, 6):
         for s in range(1, 6):
             assert is_admissible(W.rotate(s))
+
+
+SHAPES_UP_TO_4_9 = [(k, n) for n in range(5, 10) for k in range(1, 5) if n >= k + 4]
+
+
+def test_of_returns_one_shared_diagram_equal_to_a_built_one():
+    p, q = Propagator.of(2, 5), Propagator.of(1, 7)
+    W = WilsonLoopDiagram.of(8, (p, q))
+    assert WilsonLoopDiagram.of(8, (q, p)) is W
+    assert WilsonLoopDiagram.of(8, [p, q]) is W
+    built = WilsonLoopDiagram(8, ((7, 1), (5, 2)))  # out of order and reversed
+    assert built is not W
+    assert built == W and hash(built) == hash(W)
+    assert {built: "x"}[W] == "x"
+    assert repr(built) == repr(W) == "WilsonLoopDiagram(n=8, props=(Propagator(e1=1, e2=7), Propagator(e1=2, e2=5)))"
+    assert WilsonLoopDiagram.of(9, (p, q)) != W
+
+
+def test_hash_is_that_of_n_and_the_sorted_props():
+    """The stored hash is the one a frozen dataclass computes from its
+    compared fields, so it is the hash of (n, sorted props): it depends on
+    n, and not on the order the props were given in."""
+    props = (Propagator.of(3, 6), Propagator.of(1, 4))
+    for n in range(8, 13):
+        W = WilsonLoopDiagram(n, props)
+        assert hash(W) == hash((n, tuple(sorted(props))))
+    assert len({hash(WilsonLoopDiagram(n, props)) for n in range(8, 13)}) == 5
+    assert len({hash(WilsonLoopDiagram(9, order)) for order in itertools.permutations(props)}) == 1
+
+
+def test_stored_token_and_masks_match_a_fresh_computation():
+    """Every diagram up to (4, 9), rebuilt from its props given in reverse
+    order with each pair reversed, stores the token and the non-strict
+    row masks computed afresh from its sorted props."""
+    checked = 0
+    for k, n in SHAPES_UP_TO_4_9:
+        for W in enumerate_diagrams(k, n):
+            twin = WilsonLoopDiagram(n, tuple((p.e2, p.e1) for p in reversed(W.props)))
+            props = sorted(Propagator.of(*p) for p in W.props)
+            for D in (W, twin):
+                assert D.token == ";".join(f"{p.e1}-{p.e2}" for p in props)
+                assert D.masks == tuple(mask_of(vertex_support(p, n, strict=False)) for p in props)
+                assert hash(D) == hash((n, tuple(props)))
+            assert twin == W
+            checked += 1
+    assert checked == 3521
+    assert WilsonLoopDiagram(6, ()).token == "0" and WilsonLoopDiagram(6, ()).masks == ()
+    # degenerate rows keep their short supports, as validate reads them
+    adjacent = WilsonLoopDiagram(6, ((1, 2),))
+    assert adjacent.masks == (0b111,)
+    assert validate(adjacent).local_density_violations == ((Propagator(1, 2),),)
+
+
+def test_diagram_is_frozen_and_slotted():
+    W = WilsonLoopDiagram(7, ((2, 4), (2, 6)))
+    with pytest.raises(AttributeError):
+        W.token = "x"
+    assert not hasattr(W, "__dict__")  # slotted

@@ -310,3 +310,79 @@ def test_derivative_product_rule(u, v):
     lhs = p.derivative(u)
     rhs = pv if u != v else pv + (pu + Polynomial.constant(Fraction(2)))
     assert lhs == rhs
+
+
+def coefficients(*polys):
+    return [c for p in polys for c in p.terms.values()]
+
+
+def test_div_exact_stays_exact_above_2_53():
+    g = Polynomial.cross_term(1, 2, 3, 4)
+    q = (Polynomial.constant(3 ** 40) * g).div_exact(Polynomial.constant(3) * g)
+    assert q == Polynomial.constant(3 ** 39)
+    assert q.terms == {(): 4052555153018976267} and type(q.terms[()]) is int
+    # a quotient that leaves the integers is an exact Fraction, never a float
+    x = Polynomial.variable(VarId(1, 1))
+    half = (Polynomial.constant(2 ** 60 + 1) * x).div_exact(Polynomial.constant(2) * x)
+    assert half.terms == {(): Fraction(2 ** 60 + 1, 2)} and type(half.terms[()]) is Fraction
+
+
+def int_polys():
+    atoms = st.one_of(
+        st.sampled_from(V).map(Polynomial.variable),
+        st.integers(-(2 ** 70), 2 ** 70).map(Polynomial.constant),
+    )
+    return st.recursive(
+        atoms,
+        lambda sub: st.tuples(sub, sub, st.sampled_from("+-*")).map(
+            lambda t: t[0] + t[1] if t[2] == "+" else (t[0] - t[1] if t[2] == "-" else t[0] * t[1])
+        ),
+        max_leaves=5,
+    )
+
+
+@given(int_polys(), int_polys(), int_polys(), int_polys())
+@settings(max_examples=80, deadline=None)
+def test_integer_polynomials_stay_in_int(a, b, c, d):
+    """Sums, products, determinants and exact quotients of integer
+    polynomials keep every coefficient an ``int``; no float ever appears."""
+    det = poly_det([[a, b], [c, d]])
+    assert det == a * d - b * c
+    results = [a + b, a - b, a * b, det]
+    if not b.is_zero():
+        quot = (a * b).div_exact(b)
+        assert quot == a
+        results.append(quot)
+    assert all(type(x) is int for x in coefficients(*results))
+
+
+@given(
+    st.integers(-(2 ** 70), 2 ** 70).filter(bool),
+    st.lists(st.sampled_from(V), max_size=3),
+    st.lists(st.sampled_from([(1, 2, 1, 2), (1, 3, 2, 3), (2, 3, 1, 3)]), max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_structured_factorize_keeps_an_integer_residual(scale, variables, crosses):
+    p = Polynomial.constant(scale)
+    for v in variables:
+        p = p * Polynomial.variable(v)
+    for key in crosses:
+        p = p * Polynomial.cross_term(*key)
+    fac = structured_factorize(p, strict=True)
+    assert fac.ok and abs(fac.residual) == abs(scale) and type(fac.residual) is int
+    assert sorted(v for v, m in fac.var_factors for _ in range(m)) == sorted(variables)
+    assert sum(m for _, m in fac.cross_factors) == len(crosses)
+
+
+def test_int_and_fraction_coefficients_compare_and_hash_alike():
+    x = Polynomial.variable(VarId(1, 1))
+    mono = next(iter(x.terms))
+    as_int, as_fraction = Polynomial({mono: 3}), Polynomial({mono: Fraction(6, 2)})
+    assert type(as_fraction.terms[mono]) is int  # an integral Fraction is stored as int
+    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+    # arithmetic through halves leaves a Fraction(1), still equal to x
+    round_trip = x * Fraction(1, 2) * 2
+    assert type(round_trip.terms[mono]) is Fraction
+    assert round_trip == x and hash(round_trip) == hash(x)
+    assert Polynomial.constant(Fraction(4, 2)) == 2 and Polynomial.constant(Fraction(1, 2)) != 0
+    assert all(type(c) is int for c in coefficients(Polynomial.cross_term(1, 2, 3, 4), x, x ** 3))

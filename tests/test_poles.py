@@ -377,11 +377,67 @@ def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
     assert info.misses == 588
 
 
+def test_front_half_builds_each_diagram_once_and_moves_land_on_enumerated_ones(monkeypatch):
+    """The (3, 9) front-half calls build 1,149 diagram objects, each once:
+    the 825 admissible diagrams and 324 rejected partners.  A partner move
+    that lands on an admissible diagram returns the very object
+    enumeration made."""
+    built = Counter()
+    post_init = WilsonLoopDiagram.__post_init__
+
+    def counted(W):
+        post_init(W)
+        built[W] += 1
+
+    monkeypatch.setattr(WilsonLoopDiagram, "__post_init__", counted)
+    wlpoles.diagrams._interned.cache_clear()
+    r_poly_edge.cache_clear()
+    wlpoles.poles._REJECTED.clear()
+    order = enumerate_diagrams(3, 9)
+    enumerated = {W: W for W in order}
+    random.Random(7).shuffle(order)
+    members = 0
+    try:
+        for W in order:
+            assert check_r_equalities(W).ok
+            for f in r_poly_edge(W).factors:
+                tag = classify(W, f)
+                if factor_codim(W, f) != CODIM_ONE or tag in (CASE1A, CASE3A):
+                    continue
+                try:
+                    g = partners(W, f)
+                except (InconsistencyError, StructuralError):
+                    continue  # the k = 3 partner gaps
+                for m in g.members:
+                    assert enumerated[m.diagram] is m.diagram
+                    members += 1
+    finally:
+        r_poly_edge.cache_clear()
+    assert sum(built.values()) == len(built) == 1149
+    assert len(built) - len(enumerated) == len(wlpoles.poles._REJECTED) == 324
+    assert members > 0
+
+
+def test_factor_stores_the_hash_of_its_identity_and_its_label():
+    for k, n in ((1, 6), (2, 7), (3, 8)):
+        for W in enumerate_diagrams(k, n):
+            for f in r_poly_edge(W).factors:
+                assert f.label() == ":".join([f.kind, *map(str, f.rows), *map(str, f.cols)])
+                assert hash(f) == hash((f.kind, f.rows, f.cols))
+                bare = PoleFactor(f.kind, f.rows, f.cols)
+                assert bare == f and hash(bare) == hash(f) and bare.label() == f.label()
+    assert pole_var(1, 2, edge=3) == pole_var(1, 2) and hash(pole_var(1, 2, edge=3)) == hash(pole_var(1, 2))
+    assert pole_quad(2, 1, 4, 3).label() == "quad:1:2:3:4"
+    assert pole_var(1, 2) != pole_var(2, 1) and hash(pole_var(1, 2)) != hash(pole_var(2, 1))
+    assert not hasattr(pole_var(1, 2), "__dict__")  # slotted
+
+
 def test_factors_and_propagators_are_interned():
     assert pole_var(1, 2, edge=3) is pole_var(1, 2, edge=3)
     assert pole_quad(1, 2, 3, 4) is pole_quad(1, 2, 3, 4)
     assert Propagator.of(5, 2) is Propagator.of(2, 5)
     assert WilsonLoopDiagram(8, ((5, 2),)).props[0] is Propagator.of(2, 5)
+    assert WilsonLoopDiagram.of(8, ((2, 5),)) is WilsonLoopDiagram.of(8, (Propagator.of(2, 5),))
 
 
 def test_r_polynomial_equality_ignores_factor_set():

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from wlpoles.errors import StructuralError
-from wlpoles.matroids import TransversalMatroid
+from wlpoles.matroids import TransversalMatroid, row_unions
+from wlpoles.poles import limit_masks, r_poly_edge
 from wlpoles.positroids import (
     cell_descriptor,
     diagram_cell,
     diagram_matroid,
+    first_violation,
     gale_key,
     gale_leq,
     gale_sorted,
@@ -127,6 +129,47 @@ def test_is_minimal_needs_no_rank_test():
             assert rep.violating == first_violating(rows), rows
             systems += 1
     assert systems == 41_727
+
+
+def two_table_first_violation(masks):
+    """The first violating T in mask order, from a union table and a
+    separate table of each T's widest row, both complete before the scan."""
+    unions = row_unions(masks)
+    widest = [0] * len(unions)
+    for T in range(1, len(unions)):
+        low = T & -T
+        widest[T] = max(widest[T ^ low], masks[low.bit_length() - 1].bit_count())
+    for T in range(1, len(unions)):
+        if unions[T].bit_count() < widest[T] + T.bit_count() - 1:
+            return T
+    return None
+
+
+def test_first_violation_matches_two_tables_on_every_limit_system():
+    checked = violating = 0
+    for n in range(5, 10):
+        for k in range(1, min(4, n - 4) + 1):
+            for W in enumerate_diagrams(k, n):
+                for f in r_poly_edge(W).factors:
+                    masks = limit_masks(W, f)
+                    T = first_violation(masks)
+                    assert T == two_table_first_violation(masks), (W, f)
+                    checked += 1
+                    violating += T is not None
+    assert checked == 39_770
+    assert 0 < violating < checked
+
+
+@given(st.lists(st.integers(0, (1 << 10) - 1), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_first_violation_matches_two_tables_on_random_systems(masks):
+    assert first_violation(masks) == two_table_first_violation(masks)
+
+
+def test_first_violation_keeps_the_row_cap():
+    assert first_violation([0b11] * 20) == 0b11  # rows 1 and 2 cover 2 < 3 vertices
+    with pytest.raises(StructuralError, match="capped at 20 rows"):
+        first_violation([1 << i for i in range(21)])
 
 
 def test_is_minimal_rejects_more_rows_than_columns():
