@@ -5,8 +5,10 @@ diagram is matched with the factors of one or two neighbouring diagrams,
 each one propagator swap away (:func:`_move`), that share the same
 boundary cell.  A single entry x[p, v] pairs with the diagram that swaps
 p for the one other propagator whose support contains V_p - {v}, or,
-when that propagator would cross the diagram, joins the triple of a
-narrow quadratic; quadratics close into triples.  The match is certified
+when that propagator would cross the diagram, takes one fan step
+(:func:`_fan_base`) to the quadratic of a narrow triple; quadratics close
+into triples.  A narrow triple is a fan rotation on an edge carrying two
+propagators.  The match is certified
 four ways: equality of the limit matroids (bases and both necklaces), the
 recorded weights summing to zero, one exact row-space certificate that
 every member meets every other member's own limit point, and, for pairs,
@@ -30,6 +32,7 @@ from .diagrams import (
     crossing,
     cyc,
     enumerate_diagrams,
+    fan_order,
     vertex_support,
 )
 from .errors import InconsistencyError, StructuralError
@@ -130,15 +133,6 @@ def _localized_entry(W: WilsonLoopDiagram, Z: TwistorData, row: int, col: int) -
 # classification
 
 
-def consecutive_base(p: Propagator, n: int) -> int | None:
-    """Anchor a with V_p = {a, a+1, a+2, a+3} cyclically, else None."""
-    if cyc(p.e1 + 2, n) == p.e2:
-        return p.e1
-    if cyc(p.e2 + 2, n) == p.e1:
-        return p.e2
-    return None
-
-
 # Memoized: the answer depends on (p, v, n) alone, at most 2n(n-3) triples
 # per n, and classify asks it for every single-entry factor.
 @functools.lru_cache(maxsize=1024)
@@ -182,10 +176,11 @@ def classify(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     support V_p - {v}; its partner is the one other propagator q through
     those three vertices (:func:`_through`).  The tag is 1a when q is
     already in W, 1 when q shares an endpoint edge with p, and otherwise
-    2, or 2a when q would cross another propagator of W.  Quadratics
-    are narrow (3b) when the far endpoints are adjacent, and otherwise
-    wide: tag 3a when the chord joining the far endpoints is already a
-    propagator, else 3.
+    2, or 2a when q would cross another propagator of W; a 2a entry
+    reaches its narrow triple by one fan step (:func:`_fan_base`).
+    Quadratics are narrow (3b) when the far endpoints are adjacent, and
+    otherwise wide: tag 3a when the chord joining the far endpoints is
+    already a propagator, else 3.
     """
     if f not in r_poly_edge(W).factor_set():
         raise StructuralError(f"{f.label()} is not a factor of R({W})")
@@ -303,7 +298,8 @@ def _triple(W, f) -> tuple[tuple[WilsonLoopDiagram, PoleFactor], ...]:
     chord (j, k) between the far endpoints; the partners keep quadratics
     on edges j and k.  A narrow one (k = j + 1) swaps them for the short
     propagators (j, j+2) and (j-1, j+1), whose outer entries are the
-    partners' factors.
+    partners' factors: the two steps of the fan rotation out of its
+    quadratic.
     """
     n = W.n
     _, near, far, j, k = quad_geometry(W, f)
@@ -332,38 +328,24 @@ def _triple_group(
     return CancellationGroup(case=case, kind=kind, members=members, weight_functions=wfun)
 
 
-def _narrow_base(W, f) -> tuple[WilsonLoopDiagram, PoleFactor]:
-    """Quadratic entry of the triple containing a blocked outer factor.
+def _fan_base(W, f) -> tuple[WilsonLoopDiagram, PoleFactor]:
+    """Quadratic entry of the narrow triple that holds a blocked (2a) entry.
 
-    The blocked hop at vertex v of p is traded for the quadratic of the
-    diagram that replaces p by the chord from the blocking propagator's
-    other endpoint to the inner vertex a+1.  Exactly one blocker can
-    yield an admissible diagram.
+    The hop q of x[p, v] (:func:`_through`) crosses a propagator r that
+    shares an endpoint edge e with p, and p is an end of the fan on e.
+    One fan step swaps p for the chord u from the far end x of p's
+    neighbour r in that fan to p's middle vertex next to e; the base is
+    the quadratic of r and u on edge x.
     """
     n = W.n
     p = W.props[f.rows[0] - 1]
-    v = f.cols[0]
-    a = consecutive_base(p, n)
-    if a is None or v not in (a, cyc(a + 3, n)):
-        raise StructuralError(f"{f.label()} is not an outer factor of a short propagator")
-    edge = cyc(a + 2, n) if v == a else a
-    found: list[tuple[WilsonLoopDiagram, PoleFactor]] = []
-    for b in W.props:
-        if b == p or edge not in b:
-            continue
-        m = b.e2 if b.e1 == edge else b.e1
-        u = Propagator.of(m, cyc(a + 1, n))
-        try:
-            Wt, ft = _move(W, p, u, (b, u), m)
-        except InconsistencyError:
-            continue
-        if classify(Wt, ft) == CASE3B:
-            found.append((Wt, ft))
-    if len(found) != 1:
-        raise InconsistencyError(
-            f"expected exactly one narrow quadratic behind ({W}, {f.label()}), found {len(found)}"
-        )
-    return found[0]
+    q, _ = _through(p, f.cols[0], n)
+    e = next(t for b in W.props if b != p and crossing(q, b) for t in b if t in p)
+    order = fan_order(W, e)
+    r = order[1] if order[0] == p else order[-2]
+    x = r.e2 if r.e1 == e else r.e1
+    u = Propagator.of(x, cyc(e + 1, n) if cyc(e + 2, n) in p else cyc(e - 1, n))
+    return _move(W, p, u, (r, u), x)
 
 
 def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
@@ -373,8 +355,9 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
     other propagator through V_p - {v}, whose own factor is the vertex
     that propagator adds; the rule is symmetric, so the partner's
     partner is the entry itself.  Tag 3 closes into a triple over the
-    chord between the far endpoints; tags 3b and 2a land in the mixed
-    triple of a narrow quadratic.  Tags 1a and 3a have no group.
+    chord between the far endpoints.  Tag 3b builds the narrow triple of
+    its quadratic, and tag 2a builds the same triple from the quadratic
+    one fan step away (:func:`_fan_base`).  Tags 1a and 3a have no group.
     """
     tag = classify(W, f)
     if tag in (CASE1A, CASE3A):
@@ -391,11 +374,8 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
             entries = rebuilt
         return _triple_group(entries, CASE3, "wide")
     if tag in (CASE3B, CASE2A):
-        base = _narrow_base(W, f) if tag == CASE2A else (W, f)
-        g = _triple_group(_triple(*base), CASE3B, "narrow")
-        if not any(m.diagram == W and m.factor == f for m in g.members):
-            raise InconsistencyError(f"reconstructed triple lost entry ({W}, {f.label()})")
-        return g
+        base = _fan_base(W, f) if tag == CASE2A else (W, f)
+        return _triple_group(_triple(*base), CASE3B, "narrow")
 
     p = W.props[f.rows[0] - 1]
     q, col = _through(p, f.cols[0], W.n)
@@ -732,6 +712,9 @@ def amplitude_report(k: int, n: int, seed: int = 0, trials: int = 10) -> Amplitu
                 g = partners(W, f)
             except InconsistencyError as exc:
                 failures.append(f"no partner group for factor {f.label()} of {W}: {exc}")
+                continue
+            if not any(m.diagram == W and m.factor == f for m in g.members):
+                failures.append(f"{f.label()} of {W} is not a member of its own group")
                 continue
             gkey = g.key()
             mkey = _entry_key((W, f))

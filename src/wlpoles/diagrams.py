@@ -237,13 +237,18 @@ def edge_order(W: WilsonLoopDiagram, e: int) -> list[Propagator]:
     for p, q in itertools.combinations(W.props, 2):
         if crossing(p, q):
             raise StructuralError(f"edge order undefined, {p} and {q} cross")
-    incident = [p for p in W.props if e in (p.e1, p.e2)]
+    return fan_order(W, e)
+
+
+def fan_order(W: WilsonLoopDiagram, e: int) -> list[Propagator]:
+    """:func:`edge_order` without its checks, for callers that hold an
+    admissible diagram (one ``validate`` has passed) and an edge of it."""
 
     def key(p: Propagator) -> tuple[int, Propagator]:
         far = p.e2 if p.e1 == e else p.e1
         return (-((far - (e + 1)) % W.n), p)
 
-    return sorted(incident, key=key)
+    return sorted((p for p in W.props if e in p), key=key)
 
 
 def valid_propagators(n: int) -> list[Propagator]:

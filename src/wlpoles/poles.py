@@ -27,7 +27,7 @@ from .diagrams import (
     Propagator,
     WilsonLoopDiagram,
     cyc,
-    edge_order,
+    fan_order,
     propagator_flat,
     validate,
 )
@@ -151,7 +151,7 @@ class RPolynomial:
 
 # The (n, props) of inadmissible diagrams r_poly_edge has refused, oldest
 # first.  lru_cache keeps no call that raises, and partner moves reach the
-# same rejected diagram again (540 visits of 324 diagrams in the (3, 9)
+# same rejected diagram again (360 visits of 180 diagrams in the (3, 9)
 # front half), so the refusals are kept here, bounded.  The key is a
 # quarter of the size of the diagram object, which stays alive anyway in
 # the bounded memo of WilsonLoopDiagram.of that cancel._move builds it by.
@@ -193,7 +193,7 @@ def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
         seen[f] = f.edge
 
     for e in range(1, n + 1):
-        order = edge_order(W, e)
+        order = fan_order(W, e)
         if not order:
             continue
         add(pole_var(row_of[order[0]], cyc(e + 1, n), edge=e))

@@ -7,21 +7,38 @@ import pytest
 
 import wlpoles.cancel
 from wlpoles.cancel import (
+    CASE2A,
+    CASE3B,
+    _fan_base,
     _localized_entry,
+    _move,
     amplitude_report,
     classify,
-    consecutive_base,
     localize,
     partners,
     report_json,
     sign_samples,
     verify_group,
 )
-from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams, vertex_support
+from wlpoles.diagrams import (
+    Propagator,
+    WilsonLoopDiagram,
+    cyc,
+    enumerate_diagrams,
+    vertex_support,
+)
 from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import VarId, mat_det
 from wlpoles.matroids import TransversalMatroid
-from wlpoles.poles import CODIM_GE2, CODIM_ONE, factor_codim, limit_supports, pole_quad, pole_var
+from wlpoles.poles import (
+    CODIM_GE2,
+    CODIM_ONE,
+    factor_codim,
+    limit_supports,
+    pole_quad,
+    pole_var,
+    r_poly_edge,
+)
 from wlpoles.positroids import cell_descriptor
 from wlpoles.sampling import TwistorData, twistor_data
 
@@ -141,12 +158,6 @@ def test_sign_check_entry_matches_localize():
 # -- classification ---------------------------------------------------------
 
 
-def test_consecutive_base():
-    assert consecutive_base(Propagator.of(2, 4), 6) == 2
-    assert consecutive_base(Propagator.of(1, 5), 6) == 5  # wraps: 5,6,1,2
-    assert consecutive_base(Propagator.of(1, 4), 7) is None
-
-
 def test_classify_goldens_cover_every_tag():
     got = {
         classify(W42, pole_var(1, 3)): "slide vertex strictly inside",
@@ -216,6 +227,46 @@ def test_narrow_group_closure():
     for m in g.members[1:]:
         assert classify(m.diagram, m.factor) == "2a"
         assert partners(m.diagram, m.factor).key() == g.key()
+
+
+def _blocker_search(W, f):
+    """Reference for :func:`_fan_base`: the search it replaced.  A blocked
+    entry x[p, v] of a short propagator p, V_p = {a, .., a+3}, moves p onto
+    the chord from the far end of every other propagator at the blocked
+    edge to a+1, and exactly one of the moves lands on a narrow quadratic."""
+    n = W.n
+    p = W.props[f.rows[0] - 1]
+    v = f.cols[0]
+    a = p.e1 if cyc(p.e1 + 2, n) == p.e2 else p.e2
+    assert cyc(a + 2, n) in p and v in (a, cyc(a + 3, n))
+    edge = cyc(a + 2, n) if v == a else a
+    found = []
+    for b in W.props:
+        if b == p or edge not in b:
+            continue
+        m = b.e2 if b.e1 == edge else b.e1
+        u = Propagator.of(m, cyc(a + 1, n))
+        try:
+            entry = _move(W, p, u, (b, u), m)
+        except InconsistencyError:
+            continue
+        if classify(*entry) == CASE3B:
+            found.append(entry)
+    assert len(found) == 1
+    return found[0]
+
+
+def test_fan_base_matches_blocker_search():
+    """One fan step finds the base the blocker search found, for every
+    blocked (2a) entry up to (3, 8) and at (4, 8)."""
+    seen = 0
+    for k, n in ((1, 5), (1, 6), (1, 7), (2, 6), (2, 7), (2, 8), (3, 7), (3, 8), (4, 8)):
+        for W in enumerate_diagrams(k, n):
+            for f in r_poly_edge(W).factors:
+                if classify(W, f) == CASE2A:
+                    seen += 1
+                    assert _fan_base(W, f) == _blocker_search(W, f), (W, f.label())
+    assert seen == 24 + 42 + 64 + 154 + 416 + 784
 
 
 def test_inadmissible_partner_message():
@@ -447,6 +498,29 @@ def test_report_flags_codim_tag_disagreement(monkeypatch):
     assert rep.status == "incomplete"
     assert f"factor var:2:2 of {W3B} has codimension >= 2 but case 1" in rep.failures
     assert f"factor var:1:3 of {W3B} is case 1a but codimension one" in rep.failures
+
+
+def test_report_flags_an_entry_missing_from_its_own_group(monkeypatch):
+    """An entry that the group built for it leaves out is a failure, whatever
+    the kind of group; the group its other members build then also finds
+    the entry unassigned."""
+    real = partners
+    dropped = (W3B, pole_quad(1, 2, 1, 2))
+
+    def lossy(V, f):
+        g = real(V, f)
+        if (V, f) != dropped:
+            return g
+        kept = tuple(m for m in g.members if (m.diagram, m.factor) != dropped)
+        return dataclasses.replace(g, members=kept)
+
+    monkeypatch.setattr(wlpoles.cancel, "partners", lossy)
+    rep = amplitude_report(2, 6, seed=0, trials=2)
+    assert rep.status == "incomplete"
+    assert rep.failures == (
+        f"quad:1:2:1:2 of {W3B} is not a member of its own group",
+        "group membership of 1-3;1-4/quad:1:2:1:2 is not symmetric",
+    )
 
 
 def test_report_k3_isolates_partner_failures():

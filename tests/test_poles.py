@@ -338,8 +338,9 @@ def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
     compute R once per diagram, whatever the visit order.  A partner move
     that leaves the admissible diagrams is an R miss that raises; the
     refusal is kept in the bounded ``_REJECTED`` memo, so each rejected
-    diagram is validated once.  After enumeration, ``validate`` runs only
-    inside R misses, so a partner's R is its only admissibility check."""
+    diagram is validated once: 300 admissible diagrams and 96 rejected
+    partners.  After enumeration, ``validate`` runs only inside R misses,
+    so a partner's R is its only admissibility check."""
     order = enumerate_diagrams(3, 8)
     random.Random(5).shuffle(order)
     check = wlpoles.diagrams.validate
@@ -370,16 +371,16 @@ def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
         info = r_poly_edge.cache_info()
     finally:
         r_poly_edge.cache_clear()
-    assert callers == Counter({"r_poly_edge": 468})
+    assert callers == Counter({"r_poly_edge": 396})
     assert info.currsize == verdicts[True] == len(order) == 300
-    # 288 raising misses reach 168 distinct rejected partner diagrams
-    assert verdicts[False] == len(wlpoles.poles._REJECTED) == 168
-    assert info.misses == 588
+    # 192 raising misses reach 96 distinct rejected partner diagrams
+    assert verdicts[False] == len(wlpoles.poles._REJECTED) == 96
+    assert info.misses == 492
 
 
 def test_front_half_builds_each_diagram_once_and_moves_land_on_enumerated_ones(monkeypatch):
-    """The (3, 9) front-half calls build 1,149 diagram objects, each once:
-    the 825 admissible diagrams and 324 rejected partners.  A partner move
+    """The (3, 9) front-half calls build 1,005 diagram objects, each once:
+    the 825 admissible diagrams and 180 rejected partners.  A partner move
     that lands on an admissible diagram returns the very object
     enumeration made."""
     built = Counter()
@@ -413,8 +414,8 @@ def test_front_half_builds_each_diagram_once_and_moves_land_on_enumerated_ones(m
                     members += 1
     finally:
         r_poly_edge.cache_clear()
-    assert sum(built.values()) == len(built) == 1149
-    assert len(built) - len(enumerated) == len(wlpoles.poles._REJECTED) == 324
+    assert sum(built.values()) == len(built) == 1005
+    assert len(built) - len(enumerated) == len(wlpoles.poles._REJECTED) == 180
     assert members > 0
 
 
