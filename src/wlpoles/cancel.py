@@ -13,6 +13,7 @@ four ways: equality of the limit matroids (bases and both necklaces), the
 recorded weights summing to zero, one exact row-space certificate that
 every member meets every other member's own limit point, and, for pairs,
 an exact sign identity under localization on twistor data.
+Limit matroids are transversal (:func:`_member_limit`).
 Localized rows are computed once per (propagator, sample), from
 integer twistor rows cleared once per sample.
 ``amplitude_report`` runs the whole pipeline for fixed (k, n).
@@ -38,7 +39,7 @@ from .diagrams import (
 from .errors import InconsistencyError, StructuralError
 from .exact import Polynomial, VarId, int_det, mat_rank, poly_det, specialize
 from .jsonout import dumps
-from .matroids import Matroid, MatrixMatroid, TransversalMatroid
+from .matroids import Matroid, MaxRankMatroid, TransversalMatroid
 from .poles import (
     CODIM_GE2,
     PoleFactor,
@@ -46,6 +47,7 @@ from .poles import (
     factor_codim,
     limit_rows,
     limit_supports,
+    limit_systems,
     pole_quad,
     pole_var,
     quad_geometry,
@@ -394,23 +396,24 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
 # verification
 
 
-def _member_limit(m: GroupMember) -> tuple[Matroid, tuple[frozenset[int], ...], list[dict]]:
-    """Limit matroid of a member, its limit supports, symbolic limit rows.
-
-    The supports are :func:`limit_supports`.  A vanishing single entry
-    leaves generic rows on them, and their transversal matroid is exact.
-    A vanishing quadratic makes the far row proportional to the near row
-    on the shared edge; the matroid of that one-parameter symbolic limit
-    matrix is taken exactly.
-    """
+def _member_limit(m: GroupMember) -> tuple[tuple, Matroid, tuple[frozenset[int], ...], list[dict]]:
+    """A member's limit set systems (:func:`limit_systems`) as sorted mask
+    tuples, their limit matroid (one system's transversal matroid, or the
+    max-rank pair of a quadratic's two), its :func:`limit_supports` and
+    the symbolic limit rows :func:`_meet` reads (generic on those
+    supports, or a quadratic's :func:`limit_rows`)."""
     W, f = m.diagram, m.factor
+    systems = limit_systems(W, f)
+    key = tuple(sorted(tuple(sorted(s)) for s in systems))
+    parts = [TransversalMatroid.of_masks(W.n, s) for s in systems]
+    M = parts[0] if len(parts) == 1 else MaxRankMatroid(*parts)
     supports = limit_supports(W, f)
     if f.kind == "var":
         generic = [{c: Polynomial.variable(VarId(r, c)) for c in V} for r, V in enumerate(supports, 1)]
-        return TransversalMatroid(W.n, supports), supports, generic
+        return key, M, supports, generic
     e, near, far, _, _ = quad_geometry(W, f)
     lam = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
-    return MatrixMatroid(W.n, lam), supports, lam
+    return key, M, supports, lam
 
 
 def _cell(M: Matroid) -> tuple[frozenset[frozenset[int]], tuple, tuple]:
@@ -419,22 +422,15 @@ def _cell(M: Matroid) -> tuple[frozenset[frozenset[int]], tuple, tuple]:
     return M.bases(), tuple(necklace(M)), tuple(reverse_necklace(M))
 
 
-def _limit_cells(matroids: list[Matroid]) -> list[tuple]:
+def _limit_cells(limits: list[tuple]) -> list[tuple]:
     """:func:`_cell` of each member's limit matroid, computed once per
-    distinct limit set system of the group, keyed by its sorted row
-    masks (the two members of a pair share one).  A symbolic limit
-    matrix gets its own."""
-    shared: dict[tuple[int, ...], tuple] = {}
-    out = []
-    for M in matroids:
-        if not isinstance(M, TransversalMatroid):
-            out.append(_cell(M))
-            continue
-        key = tuple(sorted(M.row_masks))
+    distinct key of limit set systems in the group (the two members of a
+    pair share one)."""
+    shared: dict[tuple, tuple] = {}
+    for key, M, _, _ in limits:
         if key not in shared:
             shared[key] = _cell(M)
-        out.append(shared[key])
-    return out
+    return [shared[key] for key, _, _, _ in limits]
 
 
 def _group_base(g: CancellationGroup) -> GroupMember:
@@ -481,7 +477,7 @@ def _meet(g: CancellationGroup, limits, n: int, k: int, rng) -> None:
     specialization.  The same rule serves every kind of group; each
     (point, support) row is computed once.
     """
-    for a, (_, _, rows_a) in zip(g.members, limits):
+    for a, (_, _, _, rows_a) in zip(g.members, limits):
         found: dict[Propagator, dict[int, Polynomial]] = {}
         point: dict[VarId, int] = {}
         for b in g.members:
@@ -524,6 +520,7 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     sample of :func:`sign_samples`, one set shared by all pairs of the
     amplitude, read from integer localized rows (:func:`_localized_row`).
     ``trials`` counts only those sign samples, ``max(3, trials)`` of them.
+    A pair not of two members fails both pair checks instead of raising.
 
     ``boundary`` describes the base member's limit.  For a wide triple
     its ``rows`` are the base quadratic's display supports, not the
@@ -539,11 +536,11 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
         raise StructuralError("group members live on different ground data")
 
     limits = [_member_limit(m) for m in g.members]
-    rank_ok = all(M.k == k for M, _, _ in limits)
+    rank_ok = all(M.k == k for _, M, _, _ in limits)
     checks.append(("limit_rank", rank_ok))
     bases_ok = neck_ok = rev_ok = False
     if rank_ok:
-        cells = _limit_cells([M for M, _, _ in limits])
+        cells = _limit_cells(limits)
         bases0, neck0, rev0 = cells[0]
         bases_ok = all(bases == bases0 for bases, _, _ in cells)
         neck_ok = all(neck == neck0 for _, neck, _ in cells)
@@ -554,10 +551,13 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     if not (bases_ok and neck_ok and rev_ok):
         failures.append("limit matroids of the members differ")
 
+    two = len(g.members) == 2
     if g.kind == "pair":
-        sup_ok = sorted(limits[0][1], key=sorted) == sorted(limits[1][1], key=sorted)
+        sup_ok = two and sorted(limits[0][2], key=sorted) == sorted(limits[1][2], key=sorted)
         checks.append(("limit_supports_equal", sup_ok))
-        if not sup_ok:
+        if not two:
+            failures.append(f"pair needs two members, has {len(g.members)}")
+        elif not sup_ok:
             failures.append("pair members have different limit supports")
 
     boundary = None
@@ -565,12 +565,12 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     if rank_ok:
         # the codimension rule of factor_codim, on the base member's supports
         base_index = g.members.index(_group_base(g))
-        dim_ok = is_minimal(limits[base_index][1], n).minimal
+        dim_ok = is_minimal(limits[base_index][2], n).minimal
         _, neck, rev = cells[base_index]
         boundary = CellDescriptor(
             k=k,
             n=n,
-            rows=limits[base_index][1],
+            rows=limits[base_index][2],
             necklace=neck,
             reverse_necklace=rev,
             dimension=3 * k - 1 if dim_ok else None,
@@ -598,8 +598,8 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     checks.append(("row_space_match", rows_ok))
 
     if g.kind == "pair":
-        sign_ok = True
-        for t, Z in enumerate(sign_samples(k, n, seed, max(3, trials))):
+        sign_ok = two  # the identity relates exactly two entries
+        for t, Z in enumerate(sign_samples(k, n, seed, max(3, trials)) if two else ()):
             v1, v2 = (
                 _localized_entry(m.diagram, Z, m.factor.rows[0], m.factor.cols[0])
                 for m in g.members

@@ -1,10 +1,10 @@
 """Matroids given by rank oracles, with the structure theory used here.
 
 Three realizations share one interface: transversal matroids of a set
-system (rank by Hall's deficiency formula), matroids of a symbolic matrix
-with polynomial entries (rank by exact symbolic minors, needed when
-entries are algebraically dependent), and minors (restriction or
-contraction) of either.  On top of the rank oracle sit bases,
+system (rank by Hall's deficiency formula), the max-rank pair of two
+matroids (a vanishing quadratic's limit matroid, from two transversal
+systems), and minors (restriction or contraction) of any of them.  No
+realization takes symbolic minors.  On top of the rank oracle sit bases,
 circuits, closure, flats, cyclic flats, flacets, connectivity, and
 the cyclic-interval positroid test.
 
@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InconsistencyError, StructuralError
-from .exact import Polynomial, VarId, mat_rank, poly_det, specialize
+from .exact import mat_rank
 from .sampling import seeded_rng
 
 _STRUCTURE_LIMIT = 16  # flat/connectivity enumeration is 2^n
@@ -224,13 +224,23 @@ class TransversalMatroid(Matroid):
     query (one for k singleton rows), while row_unions takes 2^k steps."""
 
     def __init__(self, n: int, row_supports: Sequence[Iterable[int]]):
+        self._set_rows(n, row_masks(n, [frozenset(r) for r in row_supports]))
+
+    @classmethod
+    def of_masks(cls, n: int, masks: Sequence[int]) -> "TransversalMatroid":
+        """The matroid of at most n row masks inside [1, n], as diagrams
+        and limit systems hold them, built without vertex sets."""
+        M = cls.__new__(cls)
+        M._set_rows(n, tuple(masks))
+        return M
+
+    def _set_rows(self, n: int, masks: tuple[int, ...]) -> None:
         super().__init__()
         if n < 1 or n > 64:
             raise StructuralError(f"ground size {n} outside [1, 64]")
         self.n = n
         self.ground_mask = (1 << n) - 1
-        self.row_supports = tuple(frozenset(r) for r in row_supports)
-        self.row_masks = row_masks(n, self.row_supports)
+        self.row_masks = masks
         self._hall = {  # U -> number of rows not inside U
             U: sum(r & ~U != 0 for r in self.row_masks)
             for U in set(row_unions(self.row_masks))
@@ -241,57 +251,19 @@ class TransversalMatroid(Matroid):
         return min(d + (union & mask).bit_count() for union, d in self._hall.items())
 
 
-class MatrixMatroid(Matroid):
-    """Matroid of a matrix of polynomial entries over the rationals.
+class MaxRankMatroid(Matroid):
+    """rank(S) = max(rank_1(S), rank_2(S)) over two matroids on one ground
+    set: a matroid for the two transversal systems of a vanishing quadratic
+    (:func:`wlpoles.poles.limit_systems`), not for every pair.  The parts
+    are asked uncached, since this oracle caches its own answers."""
 
-    Needed when entries are not algebraically independent (limit
-    configurations with a proportional row).  Rank of a column set is
-    the largest r with a symbolically nonzero r x r minor; a random
-    exact evaluation provides the lower bound cheaply and the minors
-    certify it and cap it.
-    """
-
-    def __init__(self, n: int, rows: Sequence[Mapping[int, Polynomial]]):
+    def __init__(self, first: Matroid, second: Matroid):
         super().__init__()
-        if n < 1 or n > 64:
-            raise StructuralError(f"ground size {n} outside [1, 64]")
-        self.n = n
-        self.ground_mask = (1 << n) - 1
-        self.rows = tuple(
-            {c: p for c, p in row.items() if not p.is_zero()} for row in rows
-        )
-        # one integer probe point, and the probe matrix over all n
-        # columns evaluated once; a rank query only selects its columns
-        self._probe: dict[VarId, int] = {}
-        rng = seeded_rng(104729, "matrixmatroid", n, len(self.rows))
-        self._probe_rows = specialize(self.rows, n, self._probe, rng)
-
-    def _numeric_rows(self, cols: Sequence[int]) -> list[list]:
-        return [[row[c - 1] for c in cols] for row in self._probe_rows]
+        self.n, self.ground_mask = first.n, first.ground_mask
+        self.parts = (first, second)
 
     def _rank(self, mask: int) -> int:
-        cols = [v + 1 for v in range(self.n) if mask >> v & 1]
-        if not cols:
-            return 0
-        r = mat_rank(self._numeric_rows(cols))
-        cap = min(len(self.rows), len(cols))
-        while r < cap and self._has_nonzero_minor(cols, r + 1):
-            r += 1
-        return r
-
-    def _has_nonzero_minor(self, cols: Sequence[int], size: int) -> bool:
-        for rsel in itertools.combinations(range(len(self.rows)), size):
-            live = [c for c in cols if any(c in self.rows[i] for i in rsel)]
-            if len(live) < size:
-                continue
-            for csel in itertools.combinations(live, size):
-                grid = [
-                    [self.rows[i].get(c, Polynomial.zero()) for c in csel]
-                    for i in rsel
-                ]
-                if not poly_det(grid).is_zero():
-                    return True
-        return False
+        return max(M._rank(mask) for M in self.parts)
 
 
 class MinorMatroid(Matroid):
@@ -390,11 +362,11 @@ def numeric_rank_probe(
     rng = seeded_rng(seed, "rankprobe", tuple(sorted(S)))
     cols = sorted(set(S))
     grid = []
-    for sup in M.row_supports:
+    for row in M.row_masks:
         grid.append(
             [
                 Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-                if c in sup
+                if row >> (c - 1) & 1
                 else Fraction(0)
                 for c in cols
             ]

@@ -400,30 +400,51 @@ def quad_geometry(
     return e, near, far_p, j_far, k_far
 
 
-def limit_masks(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, ...]:
-    """Row support masks of the set system the factor's vanishing locus
-    lands on.
-
-    A single entry x[p, v] drops v from row p.  A quadratic on edge e
-    makes the far row proportional to the near row on {e, e+1};
-    eliminating those two columns leaves the far row supported on
-    (V_near u V_far) - {e, e+1}.  This is the only place a factor's
-    limit set system is built.  :func:`factor_codim` calls the factor
-    codimension one iff this system is minimal, a rule checked against
-    the case tags on every factor at k <= 4, n <= 9.
-    """
+def _vanishing(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, int, int]:
+    """Rows p and q, from 0, and the column mask C of a factor of R(W): a
+    quadratic on edge e has its near row p, far row q and C = {e, e+1},
+    and a single entry x[p, v] is the case q = p, C = {v}."""
     if f not in r_poly_edge(W).factor_set():
         raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
-    n = W.n
-    rows = list(W.masks)
     if f.kind == "var":
-        rows[f.rows[0] - 1] &= ~(1 << (f.cols[0] - 1))
-    else:
-        e, near, far, _, _ = quad_geometry(W, f)
-        far_row = W.props.index(far)
-        edge = 1 << (e - 1) | 1 << (cyc(e + 1, n) - 1)
-        rows[far_row] = (rows[W.props.index(near)] | rows[far_row]) & ~edge
-    return tuple(rows)
+        return f.rows[0] - 1, f.rows[0] - 1, 1 << (f.cols[0] - 1)
+    e, near, far, _, _ = quad_geometry(W, f)
+    return W.props.index(near), W.props.index(far), 1 << (e - 1) | 1 << (cyc(e + 1, W.n) - 1)
+
+
+def limit_masks(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, ...]:
+    """Row masks of the set system the factor's vanishing locus lands on:
+    row q becomes (V_p u V_q) - C (:func:`_vanishing`).  For a quadratic,
+    whose far row turns proportional to the near row on {e, e+1}, this is
+    the display system; its limit matroid is :func:`limit_systems`'.
+    :func:`factor_codim` calls the factor codimension one iff this system
+    is minimal, a rule checked against the case tags at k <= 4, n <= 9.
+    """
+    p, q, cols = _vanishing(W, f)
+    return tuple((W.masks[p] | m) & ~cols if i == q else m for i, m in enumerate(W.masks))
+
+
+def limit_systems(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[tuple[int, ...], ...]:
+    """The factor's limit set systems: T1, W's masks with C taken from row
+    p, and T2, with C taken from row q (:func:`_vanishing`); one system
+    when q = p.  The limit matroid has rank(S) = max(rank_T1(S), rank_T2(S)).
+
+    Why, for a quadratic Q: Q is irreducible, so a k-subset S stops being
+    a basis iff Q divides the minor D_S.  Expand D_S along rows p and q as
+    a sum over column pairs T of m_T B_T.  The 2x2 minors m_T with
+    T != {e, e+1} are bilinear in monomials no other m_T uses, so they are
+    linearly independent of Q over the other variables: Q | D_S iff every
+    matching of S sends {p, q} onto {e, e+1}, iff S is a basis of neither
+    system.  A smaller minor holding only one of p and q is not divisible
+    by Q, so lower ranks follow the same rule.  Tests check it against the
+    symbolic :func:`limit_rows` on all subsets at (2,6), (2,7) and (3,7),
+    and on the bases at (3,8), for every quadratic.
+    """
+    p, q, cols = _vanishing(W, f)
+    return tuple(
+        tuple(m & ~cols if i == row else m for i, m in enumerate(W.masks))
+        for row in dict.fromkeys((p, q))
+    )
 
 
 def limit_supports(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[frozenset[int], ...]:

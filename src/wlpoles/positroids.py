@@ -18,7 +18,7 @@ from .diagrams import WilsonLoopDiagram, cyc
 from .errors import StructuralError
 from .exact import Polynomial
 from .matrices import SymbolicMatrix, matrix_from_sets
-from .matroids import Matroid, TransversalMatroid, is_positroid, row_masks, union_table
+from .matroids import Matroid, TransversalMatroid, is_positroid, row_masks, set_of, union_table
 
 
 def gale_key(v: int, a: int, n: int) -> int:
@@ -168,18 +168,23 @@ class CellDescriptor:
 def cell_descriptor(M: TransversalMatroid) -> CellDescriptor:
     """Descriptor of the cell of a set system, read from its transversal
     matroid: its necklaces and the minimality count as dimension."""
+    rows = tuple(map(set_of, M.row_masks))
     return CellDescriptor(
         k=M.k,
         n=M.n,
-        rows=M.row_supports,
+        rows=rows,
         necklace=tuple(necklace(M)),
         reverse_necklace=tuple(reverse_necklace(M)),
-        dimension=is_minimal(M.row_supports, M.n).dimension,
+        dimension=is_minimal(rows, M.n).dimension,
     )
 
 
 def diagram_matroid(W: WilsonLoopDiagram) -> TransversalMatroid:
-    return TransversalMatroid(W.n, W.supports())
+    """The matroid of ``W.masks``, the strict supports unless a row has
+    collapsed below four vertices (never on an admissible diagram)."""
+    if any(m.bit_count() < 4 for m in W.masks):
+        raise StructuralError(f"a propagator of {W} has fewer than 4 support vertices")
+    return TransversalMatroid.of_masks(W.n, W.masks)
 
 
 def diagram_matrix(W: WilsonLoopDiagram) -> SymbolicMatrix:

@@ -35,6 +35,7 @@ from wlpoles.poles import (
     CODIM_ONE,
     factor_codim,
     limit_supports,
+    limit_systems,
     pole_quad,
     pole_var,
     r_poly_edge,
@@ -407,7 +408,8 @@ def test_localize_det_calls_per_propagator_sample(monkeypatch):
 def test_limit_cell_computed_once_per_pair(monkeypatch):
     """The two members of a pair share one limit set system, so its cell
     (bases and both necklaces) is computed once; a triple computes one per
-    distinct system, its symbolic limit matrices each their own."""
+    distinct key of limit set systems, a quadratic's pair of systems
+    keyed like a single entry's one."""
     calls = []
     cell = wlpoles.cancel._cell
     monkeypatch.setattr(wlpoles.cancel, "_cell", lambda M: calls.append(M) or cell(M))
@@ -418,7 +420,7 @@ def test_limit_cell_computed_once_per_pair(monkeypatch):
         calls.clear()
         assert verify_group(g, trials=3, seed=0) == g
         systems = {
-            frozenset(limit_supports(m.diagram, m.factor)) if m.factor.kind == "var" else m
+            frozenset(frozenset(s) for s in limit_systems(m.diagram, m.factor))
             for m in g.members
         }
         assert len(calls) == len(systems)
@@ -443,6 +445,15 @@ def test_pair_cell_checks_fail_on_a_shifted_vertex():
     assert checks["boundary_bases_equal"] is False
     assert checks["limit_supports_equal"] is False
     assert "limit matroids of the members differ" in bad.failures and not bad.verified
+
+
+def test_a_pair_without_two_members_fails_its_checks_without_raising():
+    g = partners(W42, pole_var(1, 3))
+    assert g.kind == "pair" and len(g.members) == 2
+    bad = verify_group(dataclasses.replace(g, members=g.members[:1]), trials=3, seed=1)
+    checks = dict(bad.checks)
+    assert checks["limit_supports_equal"] is False and checks["sign_identity"] is False
+    assert "pair needs two members, has 1" in bad.failures and not bad.verified
 
 
 def test_verify_wide_triple():

@@ -129,9 +129,9 @@ def test_analyze_builds_one_matroid_per_input(tmp_path, capsys, monkeypatch, pay
     """Rows: one matroid for the radicals, the cell and the flats.  A diagram:
     one inside check_r_equalities and one for its cell and flats."""
     count = []
-    init = TransversalMatroid.__init__
+    set_rows = TransversalMatroid._set_rows  # every constructor ends here
     monkeypatch.setattr(
-        TransversalMatroid, "__init__", lambda self, n, rows: count.append(n) or init(self, n, rows)
+        TransversalMatroid, "_set_rows", lambda self, n, masks: count.append(n) or set_rows(self, n, masks)
     )
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))

@@ -12,7 +12,6 @@ from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import mat_rank
 from wlpoles.matroids import (
     Matroid,
-    MatrixMatroid,
     TransversalMatroid,
     check_rank_oracle,
     is_cyclic_interval,
@@ -21,8 +20,12 @@ from wlpoles.matroids import (
     row_unions,
     structure,
 )
+from wlpoles.cancel import GroupMember, _member_limit
+from wlpoles.poles import limit_rows, quad_geometry, r_poly_edge
 from wlpoles.positroids import diagram_matroid
 from wlpoles.sampling import seeded_rng
+
+from oracles import MatrixMatroid
 
 
 def brute_matching_rank(rows, S):
@@ -253,6 +256,37 @@ def test_matrix_matroid_agrees_with_transversal_on_generic_rows():
         Mt = TransversalMatroid(W.n, rows)
         Mx = MatrixMatroid(W.n, sym)
         assert Mt.bases() == Mx.bases()
+
+
+def quadratic_limits(k, n):
+    """Each quadratic factor at (k, n) with the limit matroid that
+    ``verify_group`` reads and the symbolic oracle of its limit rows."""
+    for W in enumerate_diagrams(k, n):
+        for f in r_poly_edge(W).factors:
+            if f.kind == "quad":
+                e, near, far, _, _ = quad_geometry(W, f)
+                rows = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
+                _, M, _, _ = _member_limit(GroupMember(W, f, "1"))
+                yield W, f, M, MatrixMatroid(W.n, rows)
+
+
+@pytest.mark.parametrize("k, n, count", [(2, 6, 18), (2, 7, 42), (3, 7, 161)])
+def test_quadratic_limit_rank_is_the_max_over_two_transversal_systems(k, n, count):
+    """Every quadratic, codimension >= 2 ones included, on all 2^n subsets."""
+    seen = 0
+    for W, f, M, oracle in quadratic_limits(k, n):
+        seen += 1
+        for mask in range(1 << n):
+            assert M.rank_mask(mask) == oracle.rank_mask(mask), (W, f, mask)
+    assert seen == count
+
+
+def test_quadratic_limit_bases_match_the_symbolic_oracle_at_k3_n8():
+    seen = 0
+    for W, f, M, oracle in quadratic_limits(3, 8):
+        seen += 1
+        assert M.bases() == oracle.bases(), (W, f)
+    assert seen == 520
 
 
 def test_restrict_contract_ranks():

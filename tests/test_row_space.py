@@ -15,8 +15,9 @@ import wlpoles.cancel
 from wlpoles.cancel import _within, amplitude_report, partners, verify_group
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from wlpoles.exact import Polynomial, VarId, mat_rank, poly_det, specialize
-from wlpoles.matroids import MatrixMatroid
 from wlpoles.poles import limit_rows, limit_supports, pole_quad, pole_var, quad_geometry, r_poly_edge
+
+from oracles import MatrixMatroid
 
 W42 = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(1, 5)))
 W3B = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(1, 4)))
