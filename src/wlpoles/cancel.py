@@ -13,7 +13,8 @@ four ways: equality of the limit matroids (bases and both necklaces), the
 recorded weights summing to zero, one exact row-space certificate that
 every member meets every other member's own limit point, and, for pairs,
 an exact sign identity under localization on twistor data.
-Limit matroids are transversal (:func:`_member_limit`).
+Limit matroids are transversal, one per distinct limit set system of a
+group (:func:`_limit_matroid`).
 Localized rows are computed once per (propagator, sample), from
 integer twistor rows cleared once per sample.
 ``amplitude_report`` runs the whole pipeline for fixed (k, n).
@@ -396,24 +397,28 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
 # verification
 
 
-def _member_limit(m: GroupMember) -> tuple[tuple, Matroid, tuple[frozenset[int], ...], list[dict]]:
-    """A member's limit set systems (:func:`limit_systems`) as sorted mask
-    tuples, their limit matroid (one system's transversal matroid, or the
-    max-rank pair of a quadratic's two), its :func:`limit_supports` and
-    the symbolic limit rows :func:`_meet` reads (generic on those
-    supports, or a quadratic's :func:`limit_rows`)."""
+def _member_limit(m: GroupMember) -> tuple[tuple, tuple[frozenset[int], ...], list[dict]]:
+    """A member's limit set systems (:func:`limit_systems`) as a key of
+    sorted mask tuples, its :func:`limit_supports` and the symbolic limit
+    rows :func:`_meet` reads (generic on those supports, or a quadratic's
+    :func:`limit_rows`).  Its limit matroid is built from the key, once
+    per group (:func:`_limit_matroid`)."""
     W, f = m.diagram, m.factor
-    systems = limit_systems(W, f)
-    key = tuple(sorted(tuple(sorted(s)) for s in systems))
-    parts = [TransversalMatroid.of_masks(W.n, s) for s in systems]
-    M = parts[0] if len(parts) == 1 else MaxRankMatroid(*parts)
+    key = tuple(sorted(tuple(sorted(s)) for s in limit_systems(W, f)))
     supports = limit_supports(W, f)
     if f.kind == "var":
         generic = [{c: Polynomial.variable(VarId(r, c)) for c in V} for r, V in enumerate(supports, 1)]
-        return key, M, supports, generic
+        return key, supports, generic
     e, near, far, _, _ = quad_geometry(W, f)
     lam = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
-    return key, M, supports, lam
+    return key, supports, lam
+
+
+def _limit_matroid(n: int, key: tuple) -> Matroid:
+    """The limit matroid of a key of limit set systems: one system's
+    transversal matroid, or the max-rank pair of a quadratic's two."""
+    parts = [TransversalMatroid.of_masks(n, s) for s in key]
+    return parts[0] if len(parts) == 1 else MaxRankMatroid(*parts)
 
 
 def _cell(M: Matroid) -> tuple[frozenset[frozenset[int]], tuple, tuple]:
@@ -422,15 +427,12 @@ def _cell(M: Matroid) -> tuple[frozenset[frozenset[int]], tuple, tuple]:
     return M.bases(), tuple(necklace(M)), tuple(reverse_necklace(M))
 
 
-def _limit_cells(limits: list[tuple]) -> list[tuple]:
+def _limit_cells(limits: list[tuple], matroids: dict[tuple, Matroid]) -> list[tuple]:
     """:func:`_cell` of each member's limit matroid, computed once per
     distinct key of limit set systems in the group (the two members of a
-    pair share one)."""
-    shared: dict[tuple, tuple] = {}
-    for key, M, _, _ in limits:
-        if key not in shared:
-            shared[key] = _cell(M)
-    return [shared[key] for key, _, _, _ in limits]
+    pair share one), from the group's one matroid per key."""
+    shared = {key: _cell(M) for key, M in matroids.items()}
+    return [shared[key] for key, _, _ in limits]
 
 
 def _group_base(g: CancellationGroup) -> GroupMember:
@@ -477,7 +479,7 @@ def _meet(g: CancellationGroup, limits, n: int, k: int, rng) -> None:
     specialization.  The same rule serves every kind of group; each
     (point, support) row is computed once.
     """
-    for a, (_, _, _, rows_a) in zip(g.members, limits):
+    for a, (_, _, rows_a) in zip(g.members, limits):
         found: dict[Propagator, dict[int, Polynomial]] = {}
         point: dict[VarId, int] = {}
         for b in g.members:
@@ -520,7 +522,8 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     sample of :func:`sign_samples`, one set shared by all pairs of the
     amplitude, read from integer localized rows (:func:`_localized_row`).
     ``trials`` counts only those sign samples, ``max(3, trials)`` of them.
-    A pair not of two members fails both pair checks instead of raising.
+    A pair not of two members fails both pair checks instead of raising,
+    and a group with no members comes back unverified with one failure.
 
     ``boundary`` describes the base member's limit.  For a wide triple
     its ``rows`` are the base quadratic's display supports, not the
@@ -528,6 +531,10 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     """
     if trials < 1:
         raise StructuralError(f"verify_group needs at least one trial, got {trials}")
+    if not g.members:
+        return dataclasses.replace(
+            g, boundary=None, checks=(), failures=("group has no members",), verified=False
+        )
     checks: list[tuple[str, bool]] = []
     failures: list[str] = []
     k = g.members[0].diagram.k
@@ -536,11 +543,12 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
         raise StructuralError("group members live on different ground data")
 
     limits = [_member_limit(m) for m in g.members]
-    rank_ok = all(M.k == k for _, M, _, _ in limits)
+    matroids = {key: _limit_matroid(n, key) for key in {key for key, _, _ in limits}}
+    rank_ok = all(M.k == k for M in matroids.values())
     checks.append(("limit_rank", rank_ok))
     bases_ok = neck_ok = rev_ok = False
     if rank_ok:
-        cells = _limit_cells(limits)
+        cells = _limit_cells(limits, matroids)
         bases0, neck0, rev0 = cells[0]
         bases_ok = all(bases == bases0 for bases, _, _ in cells)
         neck_ok = all(neck == neck0 for _, neck, _ in cells)
@@ -553,7 +561,7 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
 
     two = len(g.members) == 2
     if g.kind == "pair":
-        sup_ok = two and sorted(limits[0][2], key=sorted) == sorted(limits[1][2], key=sorted)
+        sup_ok = two and sorted(limits[0][1], key=sorted) == sorted(limits[1][1], key=sorted)
         checks.append(("limit_supports_equal", sup_ok))
         if not two:
             failures.append(f"pair needs two members, has {len(g.members)}")
@@ -565,12 +573,12 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     if rank_ok:
         # the codimension rule of factor_codim, on the base member's supports
         base_index = g.members.index(_group_base(g))
-        dim_ok = is_minimal(limits[base_index][2], n).minimal
+        dim_ok = is_minimal(limits[base_index][1], n).minimal
         _, neck, rev = cells[base_index]
         boundary = CellDescriptor(
             k=k,
             n=n,
-            rows=limits[base_index][2],
+            rows=limits[base_index][1],
             necklace=neck,
             reverse_necklace=rev,
             dimension=3 * k - 1 if dim_ok else None,

@@ -1,15 +1,20 @@
 """Deterministic random sampling and positive twistor data.
 
 Every random draw in the package flows through :func:`seeded_rng`, so
-a single integer seed reproduces a whole run byte for byte.  Twistor
-matrices are built from Vandermonde rows, which makes every ordered
-maximal minor positive by construction; positivity is still verified
-exactly because downstream certificates depend on it.
+a single integer seed reproduces a whole run byte for byte.  A stream
+is seeded with the text of its (seed, key) tuple, which ``random``
+hashes with the interpreter's builtin sha512, so no OpenSSL library is
+loaded.  Randomness only picks the points the exact checks run at,
+and the sampled identities hold at every positive sample, so a
+certificate whose checks pass depends on the seed only through the
+``seed`` field it echoes.  Twistor matrices are built from Vandermonde
+rows, which makes every ordered maximal minor positive by construction;
+positivity is still verified exactly because downstream certificates
+depend on it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -20,9 +25,15 @@ from .exact import clear_row, int_det
 
 
 def seeded_rng(seed: int, *key) -> random.Random:
-    """A Random stream derived from (seed, key) only."""
-    digest = hashlib.sha256(str((seed,) + key).encode()).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    """A Random stream derived from (seed, key) only.
+
+    The stream is seeded with ``str((seed,) + key)``; ``random`` hashes a
+    ``str`` seed with sha512 (seeding version 2), the same on every
+    platform and Python version, whatever ``PYTHONHASHSEED`` is.  Streams
+    differ with their keys, but a certificate whose checks pass depends
+    on the draws only through its ``seed`` field.
+    """
+    return random.Random(str((seed,) + key))
 
 
 def rand_fraction(rng: random.Random, lo: int = 1, hi: int = 1000) -> Fraction:

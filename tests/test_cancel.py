@@ -406,26 +406,35 @@ def test_localize_det_calls_per_propagator_sample(monkeypatch):
 
 
 def test_limit_cell_computed_once_per_pair(monkeypatch):
-    """The two members of a pair share one limit set system, so its cell
-    (bases and both necklaces) is computed once; a triple computes one per
-    distinct key of limit set systems, a quadratic's pair of systems
-    keyed like a single entry's one."""
+    """The two members of a pair share one limit set system, so its
+    matroid and cell (bases and both necklaces) are built once; a triple
+    builds one per distinct key of limit set systems, a quadratic's pair
+    of systems keyed like a single entry's one.  Each system of a key gets
+    one Hall table (``TransversalMatroid._set_rows``)."""
     calls = []
     cell = wlpoles.cancel._cell
     monkeypatch.setattr(wlpoles.cancel, "_cell", lambda M: calls.append(M) or cell(M))
+    tables = []
+    set_rows = TransversalMatroid._set_rows
+    monkeypatch.setattr(
+        TransversalMatroid, "_set_rows", lambda M, n, masks: tables.append(masks) or set_rows(M, n, masks)
+    )
     rep = amplitude_report(2, 6, seed=0, trials=3)
     pairs = [g for g in rep.groups if g.kind == "pair"]
     assert rep.status == "complete" and pairs
+    assert any(g.kind != "pair" for g in rep.groups)
     for g in rep.groups:
         calls.clear()
+        tables.clear()
         assert verify_group(g, trials=3, seed=0) == g
         systems = {
             frozenset(frozenset(s) for s in limit_systems(m.diagram, m.factor))
             for m in g.members
         }
         assert len(calls) == len(systems)
+        assert len(tables) == sum(len(key) for key in systems)
         if g.kind == "pair":
-            assert len(calls) == 1
+            assert len(calls) == len(tables) == 1
 
 
 def test_pair_cell_checks_fail_on_a_shifted_vertex():
@@ -454,6 +463,13 @@ def test_a_pair_without_two_members_fails_its_checks_without_raising():
     checks = dict(bad.checks)
     assert checks["limit_supports_equal"] is False and checks["sign_identity"] is False
     assert "pair needs two members, has 1" in bad.failures and not bad.verified
+
+
+def test_a_group_without_members_fails_without_raising():
+    for g in (partners(W42, pole_var(1, 3)), partners(W42, pole_quad(1, 2, 1, 2))):
+        bad = verify_group(dataclasses.replace(g, members=()), trials=3, seed=1)
+        assert bad.failures == ("group has no members",)
+        assert not bad.verified and bad.checks == () and bad.boundary is None
 
 
 def test_verify_wide_triple():
@@ -570,6 +586,17 @@ def test_report_deterministic():
     a = report_json(amplitude_report(1, 5, seed=9, trials=3))
     b = report_json(amplitude_report(1, 5, seed=9, trials=3))
     assert a == b
+
+
+def test_report_bytes_depend_on_the_seed_only_through_its_field():
+    """The sign samples differ between seeds, yet every check passes on
+    any positive sample, so the certificate echoes the seed and nothing
+    else of it."""
+    assert sign_samples(2, 6, 0, 10) != sign_samples(2, 6, 1, 10)
+    a, b = (amplitude_report(2, 6, seed=s) for s in (0, 1))
+    assert a.status == "complete" and a.groups
+    assert report_json(a) != report_json(b)
+    assert report_json(a) == report_json(dataclasses.replace(b, seed=0))
 
 
 def test_report_empty_amplitude():

@@ -20,7 +20,7 @@ from wlpoles.matroids import (
     row_unions,
     structure,
 )
-from wlpoles.cancel import GroupMember, _member_limit
+from wlpoles.cancel import GroupMember, _limit_matroid, _member_limit
 from wlpoles.poles import limit_rows, quad_geometry, r_poly_edge
 from wlpoles.positroids import diagram_matroid
 from wlpoles.sampling import seeded_rng
@@ -266,8 +266,8 @@ def quadratic_limits(k, n):
             if f.kind == "quad":
                 e, near, far, _, _ = quad_geometry(W, f)
                 rows = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
-                _, M, _, _ = _member_limit(GroupMember(W, f, "1"))
-                yield W, f, M, MatrixMatroid(W.n, rows)
+                key, _, _ = _member_limit(GroupMember(W, f, "1"))
+                yield W, f, _limit_matroid(W.n, key), MatrixMatroid(W.n, rows)
 
 
 @pytest.mark.parametrize("k, n, count", [(2, 6, 18), (2, 7, 42), (3, 7, 161)])

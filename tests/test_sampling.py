@@ -1,10 +1,14 @@
 """Seeded randomness and exact positive twistor data."""
 
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wlpoles
 from wlpoles.errors import StructuralError
 from wlpoles.exact import mat_det
 from wlpoles.sampling import TwistorData, rand_fraction, seeded_rng, twistor_data
@@ -16,6 +20,18 @@ def test_seeded_rng_deterministic():
     c = [seeded_rng(5, "x", 2).random() for _ in range(3)]
     assert a == b
     assert a != c
+
+
+def test_cli_import_loads_no_openssl():
+    """Seeding hashes with the interpreter's builtin sha512, so a fresh
+    interpreter that imports the CLI loads neither hashlib nor ssl."""
+    src = str(Path(wlpoles.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import wlpoles.cli; "
+        "print(' '.join(sorted({'hashlib', '_hashlib', 'ssl', '_ssl'} & (set(sys.modules) - before))))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def test_rand_fraction_positive_bounded():
