@@ -54,7 +54,7 @@ from .poles import (
     quad_geometry,
     r_poly_edge,
 )
-from .positroids import CellDescriptor, is_minimal, necklace, reverse_necklace
+from .positroids import CellDescriptor, is_minimal, necklace_entries, necklace_masks
 from .sampling import TwistorData, seeded_rng, twistor_data
 
 CASE1 = "1"
@@ -171,6 +171,9 @@ def _through(p: Propagator, v: int, n: int) -> tuple[Propagator, int]:
     return found[0]
 
 
+# Bounded: a diagram's factors are classified together, and again by the
+# partner moves that land on it.
+@functools.lru_cache(maxsize=256)
 def classify(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     """Case tag of a pole factor: 1/2 pairable single entries, 2a blocked
     single entries, 3/3b pairable quadratics, 1a/3a higher codimension.
@@ -288,12 +291,16 @@ def _move(W, remove, add, on, col) -> tuple[WilsonLoopDiagram, PoleFactor]:
     except StructuralError:
         raise InconsistencyError(f"partner diagram {W2} is not admissible") from None
     rows = [W2.props.index(x) + 1 for x in on]
-    f2 = pole_var(*rows, col) if len(rows) == 1 else pole_quad(*rows, col, cyc(col + 1, W.n), edge=col)
+    f2 = pole_var(*rows, col) if len(rows) == 1 else pole_quad(*rows, col, cyc(col + 1, W.n))
     if f2 not in R.factor_set():
         raise InconsistencyError(f"expected factor {f2.label()} in R({W2})")
     return W2, f2
 
 
+# Bounded: every member of a triple builds it, and a wide triple's check
+# rebuilds it from its base; room for the 1,035 distinct calls of the (3, 9)
+# front half (the (4, 9) one makes 2,430).
+@functools.lru_cache(maxsize=2048)
 def _triple(W, f) -> tuple[tuple[WilsonLoopDiagram, PoleFactor], ...]:
     """(base, lose-far, lose-near) entries of the triple of a quadratic.
 
@@ -421,10 +428,11 @@ def _limit_matroid(n: int, key: tuple) -> Matroid:
     return parts[0] if len(parts) == 1 else MaxRankMatroid(*parts)
 
 
-def _cell(M: Matroid) -> tuple[frozenset[frozenset[int]], tuple, tuple]:
-    """Bases, necklace and reverse necklace of a limit matroid.  Necklace
-    entries are listed in shifted order, so the tuples compare as sets."""
-    return M.bases(), tuple(necklace(M)), tuple(reverse_necklace(M))
+def _cell(M: Matroid) -> tuple[frozenset[int], tuple[int, ...], tuple[int, ...]]:
+    """Basis masks, necklace and reverse necklace of a limit matroid, as
+    masks walked over its one basis set (:func:`necklace_masks`)."""
+    forward, reverse = necklace_masks(M)
+    return M.basis_masks(), tuple(forward), tuple(reverse)
 
 
 def _limit_cells(limits: list[tuple], matroids: dict[tuple, Matroid]) -> list[tuple]:
@@ -544,7 +552,7 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
 
     limits = [_member_limit(m) for m in g.members]
     matroids = {key: _limit_matroid(n, key) for key in {key for key, _, _ in limits}}
-    rank_ok = all(M.k == k for M in matroids.values())
+    rank_ok = all(min(M.basis_masks()).bit_count() == k for M in matroids.values())
     checks.append(("limit_rank", rank_ok))
     bases_ok = neck_ok = rev_ok = False
     if rank_ok:
@@ -579,8 +587,8 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
             k=k,
             n=n,
             rows=limits[base_index][1],
-            necklace=neck,
-            reverse_necklace=rev,
+            necklace=tuple(necklace_entries(neck)),
+            reverse_necklace=tuple(necklace_entries(rev)),
             dimension=3 * k - 1 if dim_ok else None,
         )
     checks.append(("boundary_dimension", dim_ok))

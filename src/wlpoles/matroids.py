@@ -6,13 +6,17 @@ matroids (a vanishing quadratic's limit matroid, from two transversal
 systems), and minors (restriction or contraction) of any of them.  No
 realization takes symbolic minors.  On top of the rank oracle sit bases,
 circuits, closure, flats, cyclic flats, flacets, connectivity, and
-the cyclic-interval positroid test.
+the cyclic-interval positroid test.  Bases are bit masks, listed once per
+instance: by a rank scan of the k-subsets in general, and without a rank
+query for a transversal matroid (its systems of distinct representatives)
+and for the max-rank pair (the union of its full-rank parts' bases).
 
 Ground sets are subsets of {1..n} stored as bit masks; n <= 64.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,11 +53,15 @@ def row_masks(n: int, rows: Sequence[frozenset[int]]) -> tuple[int, ...]:
     return tuple(mask_of(sup) for sup in rows)
 
 
+def _check_row_limit(masks: Sequence[int]) -> None:
+    if len(masks) > _ROW_LIMIT:
+        raise StructuralError(f"subset-union table capped at {_ROW_LIMIT} rows, got {len(masks)}")
+
+
 def union_table(masks: Sequence[int]) -> list[int]:
     """A zeroed table with one slot per subfamily T of the rows, indexed by
     T as a bit mask: 2^rows entries, so at most 20 rows."""
-    if len(masks) > _ROW_LIMIT:
-        raise StructuralError(f"subset-union table capped at {_ROW_LIMIT} rows, got {len(masks)}")
+    _check_row_limit(masks)
     return [0] * (1 << len(masks))
 
 
@@ -85,6 +93,7 @@ class Matroid:
     def __init__(self):
         self._rank_cache: dict[int, int] = {}
         self._flats: tuple[frozenset[int], ...] | None = None
+        self._bases: frozenset[int] | None = None
 
     def _rank(self, mask: int) -> int:
         raise NotImplementedError
@@ -112,14 +121,22 @@ class Matroid:
         m = mask_of(S)
         return self.rank_mask(m) == m.bit_count()
 
-    def bases(self) -> frozenset[frozenset[int]]:
+    def basis_masks(self) -> frozenset[int]:
+        """The bases as bit masks, listed once per instance."""
+        if self._bases is None:
+            self._bases = self._basis_masks()
+        return self._bases
+
+    def _basis_masks(self) -> frozenset[int]:
+        """Every k-subset of the ground set whose rank is k."""
         k = self.k
-        out = []
-        for combo in itertools.combinations(sorted(self.ground), k):
-            m = mask_of(combo)
-            if self.rank_mask(m) == k:
-                out.append(frozenset(combo))
-        return frozenset(out)
+        return frozenset(
+            m for m in map(mask_of, itertools.combinations(sorted(self.ground), k))
+            if self.rank_mask(m) == k
+        )
+
+    def bases(self) -> frozenset[frozenset[int]]:
+        return frozenset(map(set_of, self.basis_masks()))
 
     def circuits(self) -> list[frozenset[int]]:
         """Minimal dependent sets; any circuit has at most k+1 elements."""
@@ -221,7 +238,9 @@ class TransversalMatroid(Matroid):
     rank(S) = min over unions U of rows of (rows not inside U) + |U & S|.
     Unions that a row leaves by a single column are skipped, as another
     union always bounds as low; that usually leaves a handful per rank
-    query (one for k singleton rows), while row_unions takes 2^k steps."""
+    query (one for k singleton rows), while row_unions takes 2^k steps.
+    The table is built on the first rank query; the bases are the
+    system's sets of distinct representatives and need none."""
 
     def __init__(self, n: int, row_supports: Sequence[Iterable[int]]):
         self._set_rows(n, row_masks(n, [frozenset(r) for r in row_supports]))
@@ -240,8 +259,13 @@ class TransversalMatroid(Matroid):
             raise StructuralError(f"ground size {n} outside [1, 64]")
         self.n = n
         self.ground_mask = (1 << n) - 1
+        _check_row_limit(masks)
         self.row_masks = masks
-        self._hall = {  # U -> number of rows not inside U
+
+    @functools.cached_property
+    def _hall(self) -> dict[int, int]:
+        """U -> number of rows not inside U, over the kept unions U."""
+        return {
             U: sum(r & ~U != 0 for r in self.row_masks)
             for U in set(row_unions(self.row_masks))
             if all((r & ~U).bit_count() != 1 for r in self.row_masks)
@@ -249,6 +273,30 @@ class TransversalMatroid(Matroid):
 
     def _rank(self, mask: int) -> int:
         return min(d + (union & mask).bit_count() for union, d in self._hall.items())
+
+    def _basis_masks(self) -> frozenset[int]:
+        """The transversals of size r = rank: one column from each of r
+        rows, all distinct, grown row by row.  A row may be skipped only
+        while the rows left can still fill r columns, so a full-rank system
+        (tried first, with r = rows) skips none and asks no rank; only a
+        rank-deficient one reads its rank from the Hall table."""
+        found = self._transversals(len(self.row_masks))
+        return found if found else self._transversals(self.k)
+
+    def _transversals(self, r: int) -> frozenset[int]:
+        partial = {0}
+        left = len(self.row_masks)
+        for row in self.row_masks:
+            left -= 1
+            grown = set()
+            for m in partial:
+                free = row & ~m
+                while free:
+                    low = free & -free
+                    grown.add(m | low)
+                    free ^= low
+            partial = grown.union(m for m in partial if m.bit_count() + left >= r)
+        return frozenset(m for m in partial if m.bit_count() == r)
 
 
 class MaxRankMatroid(Matroid):
@@ -264,6 +312,13 @@ class MaxRankMatroid(Matroid):
 
     def _rank(self, mask: int) -> int:
         return max(M._rank(mask) for M in self.parts)
+
+    def _basis_masks(self) -> frozenset[int]:
+        """The bases of the parts of largest rank: a set of that size has
+        it as its max-rank iff it is a basis of one of them."""
+        sets = [M.basis_masks() for M in self.parts]
+        r = max(min(B).bit_count() for B in sets)
+        return frozenset().union(*(B for B in sets if min(B).bit_count() == r))
 
 
 class MinorMatroid(Matroid):

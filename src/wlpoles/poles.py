@@ -34,15 +34,16 @@ from .diagrams import (
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
 from .exact import Polynomial, VarId, structured_factorize
 from .matrices import SymbolicMatrix
-from .matroids import TransversalMatroid, is_cyclic_interval, set_of
+from .matroids import TransversalMatroid, is_cyclic_interval, mask_of, set_of
 from .positroids import (
     diagram_matrix,
     diagram_matroid,
     first_violation,
     is_boundary_of,
     necklace,
+    necklace_masks,
     necklace_minors,
-    reverse_necklace,
+    subfamily_tables,
 )
 from .sampling import rand_fraction, seeded_rng
 
@@ -58,15 +59,14 @@ REVERSE_NECKLACE_RADICAL = "reverse-necklace-radical"
 class PoleFactor:
     """One prime factor of R: a single entry or a 2x2 adjacent-pair minor.
 
-    Identity is (kind, rows, cols); the originating edge is bookkeeping
-    and excluded from comparison.  Slotted, with the hash of its identity
-    and its label stored once, in slots left out of comparison and repr.
+    Identity is (kind, rows, cols).  Slotted, with the hash of its
+    identity and its label stored once, in slots left out of comparison
+    and repr.
     """
 
     kind: str
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-    edge: int | None = field(default=None, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
     _label: str = field(init=False, repr=False, compare=False)
 
@@ -119,17 +119,22 @@ class PoleFactor:
         raise StructuralError(f"unknown factor kind {data!r}")
 
 
-# Interned: memoized R values share one factor per argument tuple (~100s per n).
+# Interned: memoized R values share one factor per argument tuple (~100s per n),
+# so factor-set lookups mostly end at the identity test.
 @functools.lru_cache(maxsize=None)
-def pole_var(row: int, col: int, edge: int | None = None) -> PoleFactor:
-    return PoleFactor("var", (row,), (col,), edge=edge)
+def pole_var(row: int, col: int) -> PoleFactor:
+    return PoleFactor("var", (row,), (col,))
+
+
+def pole_quad(ra: int, rb: int, c1: int, c2: int) -> PoleFactor:
+    """Interned on its sorted rows and columns: one object per factor,
+    whatever order the rows and columns are given in."""
+    return _pole_quad(min(ra, rb), max(ra, rb), min(c1, c2), max(c1, c2))
 
 
 @functools.lru_cache(maxsize=None)
-def pole_quad(ra: int, rb: int, c1: int, c2: int, edge: int | None = None) -> PoleFactor:
-    rows = tuple(sorted((ra, rb)))
-    cols = tuple(sorted((c1, c2)))
-    return PoleFactor("quad", rows, cols, edge=edge)
+def _pole_quad(a: int, b: int, i: int, j: int) -> PoleFactor:
+    return PoleFactor("quad", (a, b), (i, j))
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,21 +190,21 @@ def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
     row_of = {p: i for i, p in enumerate(W.props, start=1)}
     seen: dict[PoleFactor, int] = {}
 
-    def add(f: PoleFactor) -> None:
+    def add(f: PoleFactor, e: int) -> None:
         if f in seen:
             raise InconsistencyError(
-                f"factor {f.label()} arises on edges {seen[f]} and {f.edge}"
+                f"factor {f.label()} arises on edges {seen[f]} and {e}"
             )
-        seen[f] = f.edge
+        seen[f] = e
 
     for e in range(1, n + 1):
         order = fan_order(W, e)
         if not order:
             continue
-        add(pole_var(row_of[order[0]], cyc(e + 1, n), edge=e))
+        add(pole_var(row_of[order[0]], cyc(e + 1, n)), e)
         for qa, qb in zip(order, order[1:]):
-            add(pole_quad(row_of[qa], row_of[qb], e, cyc(e + 1, n), edge=e))
-        add(pole_var(row_of[order[-1]], e, edge=e))
+            add(pole_quad(row_of[qa], row_of[qb], e, cyc(e + 1, n)), e)
+        add(pole_var(row_of[order[-1]], e), e)
 
     factors = tuple(sorted(seen, key=PoleFactor.sort_key))
     return RPolynomial(factors=factors, provenance=EDGE_FORMULA)
@@ -225,21 +230,29 @@ def _pattern_factor_keys(pattern: tuple[int, ...]) -> frozenset[PoleFactor] | No
     return None if minor.is_zero() else _factor_keys(minor)
 
 
-def _minor_factor_keys(
-    row_masks: Sequence[int], cols: Sequence[int]
-) -> frozenset[PoleFactor] | None:
-    """Factor keys of the all-rows minor on ``cols`` of the symbolic matrix
-    with row support masks ``row_masks``, or None if it vanishes.
+def _minor_factor_keys(row_masks: Sequence[int], cols: int) -> frozenset[PoleFactor] | None:
+    """Factor keys of the all-rows minor on the column mask ``cols`` of the
+    symbolic matrix with row support masks ``row_masks``, or None if it
+    vanishes.  The minor depends only on the supports restricted to
+    ``cols`` (:func:`_restricted_factor_keys`)."""
+    return _restricted_factor_keys(tuple([r & cols for r in row_masks]), cols)
 
-    The minor depends only on the supports restricted to ``cols``, so it is
-    factored once per support pattern, with the columns renumbered 1..k,
-    and mapped back by c -> I[c-1].  Renaming x[r,p] to x[r,I_p] with I
-    increasing is a ring isomorphism that keeps the lex order, so the keys
-    are exactly those of factoring the minor directly.
+
+# Bounded: room for the 2,514 distinct keys of the (3, 9) front half; the
+# (4, 9) one has 9,813 and cycles through it.
+@functools.lru_cache(maxsize=4096)
+def _restricted_factor_keys(rows: tuple[int, ...], cols: int) -> frozenset[PoleFactor] | None:
+    """:func:`_minor_factor_keys` of supports already inside ``cols``.
+
+    The minor is factored once per support pattern, with the columns
+    renumbered 1..k, and mapped back by c -> I[c-1] for the columns I in
+    ascending order.  Renaming x[r,p] to x[r,I_p] with I increasing is a
+    ring isomorphism that keeps the lex order, so the keys are exactly
+    those of factoring the minor directly.
     """
-    I = sorted(cols)
+    I = [v + 1 for v in range(cols.bit_length()) if cols >> v & 1]
     bits = [1 << (c - 1) for c in I]
-    pattern = tuple(sum(1 << p for p, b in enumerate(bits) if r & b) for r in row_masks)
+    pattern = tuple(sum(1 << p for p, b in enumerate(bits) if r & b) for r in rows)
     keys = _pattern_factor_keys(pattern)
     if keys is None:
         return None
@@ -254,35 +267,37 @@ def necklace_radicals(M: TransversalMatroid) -> tuple[RPolynomial, RPolynomial]:
     """Distinct prime factors of the necklace minors and of the
     reverse-necklace minors of the set system behind ``M``.
 
-    Both scans read the one matroid, so they share its Hall table and its
-    rank cache, and each distinct entry, keyed by its sorted columns, is
-    factored once; the two radicals differ only in their scan.
+    Both necklaces are walked over the matroid's one set of basis masks
+    (:func:`positroids.necklace_masks`), which also gives its rank, so no
+    rank query is made; each distinct entry, keyed by its column mask, is
+    factored once.
     """
     if not M.row_masks or 0 in M.row_masks:
         raise StructuralError("set system needs nonempty rows")
-    if M.k != len(M.row_masks):
-        raise StructuralError(f"set system has rank {M.k}, expected {len(M.row_masks)}")
-    keys: dict[tuple[int, ...], frozenset[PoleFactor]] = {}
+    rank = min(M.basis_masks()).bit_count()
+    if rank != len(M.row_masks):
+        raise StructuralError(f"set system has rank {rank}, expected {len(M.row_masks)}")
+    keys: dict[int, frozenset[PoleFactor]] = {}
     radicals = []
-    for name, scan, provenance in (
-        ("necklace", necklace, NECKLACE_RADICAL),
-        ("reverse necklace", reverse_necklace, REVERSE_NECKLACE_RADICAL),
+    for name, masks, provenance in zip(
+        ("necklace", "reverse necklace"),
+        necklace_masks(M),
+        (NECKLACE_RADICAL, REVERSE_NECKLACE_RADICAL),
     ):
         out: set[PoleFactor] = set()
-        for a, I_a in enumerate(scan(M), start=1):
-            cols = tuple(sorted(I_a))
-            if cols not in keys:
+        for a, I_a in enumerate(masks, start=1):
+            if I_a not in keys:
                 try:
-                    found = _minor_factor_keys(M.row_masks, cols)
+                    found = _minor_factor_keys(M.row_masks, I_a)
                 except UnstructuredResidualError:
                     raise UnstructuredResidualError(
-                        f"{name} entry {a} {list(cols)}: its minor does not split"
-                        " into single entries and edge quadratics"
+                        f"{name} entry {a} {sorted(set_of(I_a))}: its minor does not"
+                        " split into single entries and edge quadratics"
                     ) from None
                 if found is None:
-                    raise InconsistencyError(f"{name} entry {a} {list(cols)} is not a basis")
-                keys[cols] = found
-            out |= keys[cols]
+                    raise InconsistencyError(f"{name} entry {a} {sorted(set_of(I_a))} is not a basis")
+                keys[I_a] = found
+            out |= keys[I_a]
         radicals.append(RPolynomial(
             factors=tuple(sorted(out, key=PoleFactor.sort_key)),
             provenance=provenance,
@@ -323,8 +338,8 @@ def check_r_equalities(W: WilsonLoopDiagram) -> REqualityReport:
     """Compare the edge-product factors against both necklace radicals.
 
     The radicals come from one transversal matroid of W
-    (:func:`necklace_radicals`): one Hall table, one rank cache, and one
-    factorization per distinct necklace entry.
+    (:func:`necklace_radicals`): one set of basis masks, both necklaces
+    walked over it, and one factorization per distinct necklace entry.
     """
     re_ = r_poly_edge(W)
     if W.k == 0:
@@ -420,8 +435,15 @@ def limit_masks(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, ...]:
     :func:`factor_codim` calls the factor codimension one iff this system
     is minimal, a rule checked against the case tags at k <= 4, n <= 9.
     """
+    return _limit(W, f)[0]
+
+
+def _limit(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[tuple[int, ...], int]:
+    """:func:`limit_masks` and the one row q that differs from W's."""
     p, q, cols = _vanishing(W, f)
-    return tuple((W.masks[p] | m) & ~cols if i == q else m for i, m in enumerate(W.masks))
+    masks = list(W.masks)
+    masks[q] = (masks[p] | masks[q]) & ~cols
+    return tuple(masks), q
 
 
 def limit_systems(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[tuple[int, ...], ...]:
@@ -452,6 +474,14 @@ def limit_supports(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[frozenset[int],
     return tuple(map(set_of, limit_masks(W, f)))
 
 
+# Small: callers take the codimension of a diagram's factors one after
+# another, so a few recent diagrams' tables (2^k entries each) suffice.
+@functools.lru_cache(maxsize=16)
+def _diagram_tables(W: WilsonLoopDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    unions, widest = subfamily_tables(W.masks)
+    return tuple(unions), tuple(widest)
+
+
 def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     """Codimension of the factor's vanishing locus inside the cell closure.
 
@@ -461,8 +491,15 @@ def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     :func:`is_minimal`), else codimension >= 2.  On every factor
     at k <= 4, n <= 9 (39,770 of them) this gives codimension >= 2
     exactly for the case tags 1a and 3a of ``cancel.classify``.
+
+    The limit system differs from W's masks only in row q, and W's masks
+    are minimal: W is admissible, and for rows of four vertices local
+    density is exactly the subset inequality.  So only the subfamilies
+    through q are tested, on W's own tables.
     """
-    return CODIM_ONE if first_violation(limit_masks(W, f)) is None else CODIM_GE2
+    masks, q = _limit(W, f)
+    known = (q, *_diagram_tables(W))
+    return CODIM_ONE if first_violation(masks, known) is None else CODIM_GE2
 
 
 @dataclass(frozen=True)
@@ -674,7 +711,7 @@ def boundary_without_pole(W: WilsonLoopDiagram) -> list[BoundaryNoPoleCertificat
             implication = "inconclusive"
             try:
                 kv, kw, kpv = (
-                    _minor_factor_keys(M.row_masks, I)
+                    _minor_factor_keys(M.row_masks, mask_of(I))
                     for I in (nk[v - 1], nk[w - 1], nkp[v - 1])
                 )
                 if None not in (kv, kw, kpv) and kv <= (kw | kpv):

@@ -2,11 +2,13 @@
 
 The necklace of a rank-k matroid is the n-tuple of Gale-minimal
 bases, one per cyclic shift of the ground order; the reverse necklace
-collects the Gale-maximal ones.  Both come from the greedy algorithm
-run against the rank oracle, scanning the shifted order upward or
-downward.  Minimality of a set-system representation is the subset
-counting inequality, read off the union table (``row_unions``) the
-transversal rank is built from; its cell dimension is entries minus k.
+collects the Gale-maximal ones.  Both are walked over the matroid's basis
+masks (:func:`necklace_masks`): each starts at the colex-least or
+colex-greatest basis and moves to the next shift by at most one exchange,
+with no rank query.  Minimality of a set-system representation is the
+subset counting inequality, read off the table of row unions and widest
+rows of every subfamily (:func:`subfamily_tables`); its cell dimension is
+entries minus k.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .diagrams import WilsonLoopDiagram, cyc
+from .diagrams import WilsonLoopDiagram
 from .errors import StructuralError
 from .exact import Polynomial
 from .matrices import SymbolicMatrix, matrix_from_sets
@@ -41,46 +43,69 @@ def gale_leq(A: Iterable[int], B: Iterable[int], a: int, n: int) -> bool:
     )
 
 
-def _greedy_bases(M: Matroid, start: int, step: int) -> list[list[int]]:
-    """For each shift a, the greedy basis scanning from a + start by step."""
-    n = M.n
-    k = M.k
-    if k == 0:
+def necklace_masks(M: Matroid) -> tuple[list[int], list[int]]:
+    """The necklace I_1..I_n and the reverse necklace of M as bit masks,
+    walked over its basis masks B.
+
+    For bases, Gale-minimal and Gale-maximal in the order 1 < ... < n are
+    colex-least and colex-greatest, so I_1 = min(B) and the reverse
+    entry J_1 = max(B).  Going from shift a to a + 1 moves a from the
+    front of the order to its back (Postnikov, "Total positivity,
+    Grassmannians, and networks": I_{a+1} contains I_a - {a}):
+    - if a is in I_a, I_{a+1} = I_a - a + j for the first j in the
+      (a+1)-order that makes a basis; with none, a is a coloop and
+      I_{a+1} = I_a;
+    - if a is not in J_a, J_{a+1} = J_a + a - y for the first y of J_a in
+      the (a+1)-order that makes a basis; with none, a is a loop and
+      J_{a+1} = J_a.
+    Otherwise the entry is kept.
+    """
+    B = M.basis_masks()
+    I, J = min(B), max(B)
+    if not I:
         raise StructuralError("necklace of a rank-0 matroid")
-    out = []
-    for a in range(1, n + 1):
-        chosen: list[int] = []
-        mask = 0
-        r = 0
-        for t in range(n):
-            v = cyc(a + start + step * t, n)
-            m = mask | (1 << (v - 1))
-            if M.rank_mask(m) > r:
-                chosen.append(v)
-                mask = m
-                r += 1
-                if r == k:
+    bits = [1 << v for v in range(M.n)]
+    forward, reverse = [I], [J]
+    for a in range(1, M.n):
+        bit = bits[a - 1]
+        after = bits[a:] + bits[: a - 1]  # a + 1, ..., a - 1 in the (a+1)-order
+        if I & bit:
+            rest = I ^ bit
+            for b in after:
+                if not rest & b and rest | b in B:
+                    I = rest | b
                     break
-        out.append(chosen)
+        if not J & bit:
+            for b in after:
+                if J & b and J ^ b | bit in B:
+                    J = J ^ b | bit
+                    break
+        forward.append(I)
+        reverse.append(J)
+    return forward, reverse
+
+
+def necklace_entries(masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """Entry a of a necklace given as masks, listed in the a-shifted order."""
+    out = []
+    for a, m in enumerate(masks, start=1):
+        elems = [v + 1 for v in range(m.bit_length()) if m >> v & 1]
+        out.append(tuple([v for v in elems if v >= a] + [v for v in elems if v < a]))
     return out
 
 
 def necklace(M: Matroid) -> list[tuple[int, ...]]:
-    """Gale-minimal basis for each shift, by greedy rank-increasing scan.
+    """Gale-minimal basis for each shift (:func:`necklace_masks`).
 
     Entry a-1 of the result is I_a, listed in the a-shifted order.
     """
-    return [tuple(chosen) for chosen in _greedy_bases(M, 0, 1)]
+    return necklace_entries(necklace_masks(M)[0])
 
 
 def reverse_necklace(M: Matroid) -> list[tuple[int, ...]]:
-    """Gale-maximal basis for each shift, by greedy downward scan.
-
-    The scan for shift a starts at a-1 (the largest element of the
-    a-shifted order) and walks down; the result is re-listed in the
-    a-shifted order for presentation.
-    """
-    return [tuple(reversed(chosen)) for chosen in _greedy_bases(M, -1, -1)]
+    """Gale-maximal basis for each shift (:func:`necklace_masks`), listed
+    in the a-shifted order."""
+    return necklace_entries(necklace_masks(M)[1])
 
 
 def necklace_minors(
@@ -101,22 +126,45 @@ class MinimalityReport:
         return self.minimal
 
 
-def first_violation(masks: Sequence[int]) -> int | None:
-    """The first subfamily T of the rows with bit masks ``masks``, itself a
-    bit mask over the rows, that covers fewer than max(|V_i|) + |T| - 1
-    vertices; None when there is none.  One pass builds the union and the
-    widest row of each T from T less its lowest row, as ``row_unions``
-    does, and stops at the first violation."""
+def subfamily_tables(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The union and the widest row size of every subfamily T of the rows
+    with bit masks ``masks``, indexed by T as a bit mask; each entry is
+    built from T less its lowest row, as ``row_unions`` does."""
     sizes = [m.bit_count() for m in masks]
     unions = union_table(masks)
     widest = unions[:]
     for T in range(1, len(unions)):
         low = T & -T
         i = low.bit_length() - 1
-        covered = unions[T] = unions[T ^ low] | masks[i]
-        width = widest[T] = max(widest[T ^ low], sizes[i])
-        if covered.bit_count() < width + T.bit_count() - 1:
-            return T
+        unions[T] = unions[T ^ low] | masks[i]
+        widest[T] = max(widest[T ^ low], sizes[i])
+    return unions, widest
+
+
+def first_violation(
+    masks: Sequence[int], known: tuple[int, Sequence[int], Sequence[int]] | None = None
+) -> int | None:
+    """The first subfamily T of the rows with bit masks ``masks``, itself a
+    bit mask over the rows, that covers fewer than max(|V_i|) + |T| - 1
+    vertices; None when there is none.
+
+    ``known`` = (q, unions, widest) gives the :func:`subfamily_tables` of a
+    minimal system that agrees with ``masks`` off row q.  Every T without q
+    is a subfamily of that system and passes, so only the T through q are
+    tested, each on the table entry of T less q, in the same order.
+    """
+    if known is None:
+        unions, widest = subfamily_tables(masks)
+        for T in range(1, len(unions)):
+            if unions[T].bit_count() < widest[T] + T.bit_count() - 1:
+                return T
+        return None
+    q, unions, widest = known
+    bit, row = 1 << q, masks[q]
+    size = row.bit_count()
+    for S in range(len(unions)):
+        if not S & bit and (unions[S] | row).bit_count() < max(widest[S], size) + S.bit_count():
+            return S | bit
     return None
 
 
@@ -167,14 +215,16 @@ class CellDescriptor:
 
 def cell_descriptor(M: TransversalMatroid) -> CellDescriptor:
     """Descriptor of the cell of a set system, read from its transversal
-    matroid: its necklaces and the minimality count as dimension."""
+    matroid: its rank and necklaces from its basis masks, and the
+    minimality count as dimension."""
     rows = tuple(map(set_of, M.row_masks))
+    forward, reverse = necklace_masks(M)
     return CellDescriptor(
-        k=M.k,
+        k=forward[0].bit_count(),
         n=M.n,
         rows=rows,
-        necklace=tuple(necklace(M)),
-        reverse_necklace=tuple(reverse_necklace(M)),
+        necklace=tuple(necklace_entries(forward)),
+        reverse_necklace=tuple(necklace_entries(reverse)),
         dimension=is_minimal(rows, M.n).dimension,
     )
 

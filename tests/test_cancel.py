@@ -6,6 +6,7 @@ import json
 import pytest
 
 import wlpoles.cancel
+import wlpoles.matroids
 from wlpoles.cancel import (
     CASE2A,
     CASE3B,
@@ -410,7 +411,8 @@ def test_limit_cell_computed_once_per_pair(monkeypatch):
     matroid and cell (bases and both necklaces) are built once; a triple
     builds one per distinct key of limit set systems, a quadratic's pair
     of systems keyed like a single entry's one.  Each system of a key gets
-    one Hall table (``TransversalMatroid._set_rows``)."""
+    one matroid (``TransversalMatroid._set_rows``), and the cell and the
+    rank check read its basis masks, so no Hall table is built."""
     calls = []
     cell = wlpoles.cancel._cell
     monkeypatch.setattr(wlpoles.cancel, "_cell", lambda M: calls.append(M) or cell(M))
@@ -419,6 +421,9 @@ def test_limit_cell_computed_once_per_pair(monkeypatch):
     monkeypatch.setattr(
         TransversalMatroid, "_set_rows", lambda M, n, masks: tables.append(masks) or set_rows(M, n, masks)
     )
+    hall = []
+    row_unions = wlpoles.matroids.row_unions
+    monkeypatch.setattr(wlpoles.matroids, "row_unions", lambda masks: hall.append(masks) or row_unions(masks))
     rep = amplitude_report(2, 6, seed=0, trials=3)
     pairs = [g for g in rep.groups if g.kind == "pair"]
     assert rep.status == "complete" and pairs
@@ -433,6 +438,7 @@ def test_limit_cell_computed_once_per_pair(monkeypatch):
         }
         assert len(calls) == len(systems)
         assert len(tables) == sum(len(key) for key in systems)
+        assert not hall
         if g.kind == "pair":
             assert len(calls) == len(tables) == 1
 

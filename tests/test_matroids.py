@@ -12,12 +12,14 @@ from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import mat_rank
 from wlpoles.matroids import (
     Matroid,
+    MaxRankMatroid,
     TransversalMatroid,
     check_rank_oracle,
     is_cyclic_interval,
     is_positroid,
     numeric_rank_probe,
     row_unions,
+    set_of,
     structure,
 )
 from wlpoles.cancel import GroupMember, _limit_matroid, _member_limit
@@ -287,6 +289,31 @@ def test_quadratic_limit_bases_match_the_symbolic_oracle_at_k3_n8():
         seen += 1
         assert M.bases() == oracle.bases(), (W, f)
     assert seen == 520
+
+
+@pytest.mark.parametrize("k, n", [(2, 7), (3, 7), (3, 8)])
+def test_basis_masks_match_the_rank_scan(k, n):
+    """A diagram's bases from its systems of distinct representatives, and
+    each limit matroid's (a single entry's system, or a quadratic's
+    max-rank pair as the union of its full-rank parts' bases), equal the
+    generic k-subset rank scan on a fresh copy."""
+    kinds = set()
+    for W in enumerate_diagrams(k, n):
+        assert diagram_matroid(W).basis_masks() == Matroid._basis_masks(diagram_matroid(W)), W
+        for f in r_poly_edge(W).factors:
+            key, _, _ = _member_limit(GroupMember(W, f, "1"))
+            M = _limit_matroid(n, key)
+            assert M.basis_masks() == Matroid._basis_masks(_limit_matroid(n, key)), (W, f)
+            kinds.add(type(M))
+    assert kinds == {TransversalMatroid, MaxRankMatroid}
+
+
+def test_transversal_bases_need_a_rank_only_when_rank_deficient():
+    full = TransversalMatroid(6, [{1, 2, 4, 5}, {1, 2, 3, 4}])
+    assert len(full.basis_masks()) == 10 and "_hall" not in vars(full)
+    short = TransversalMatroid(6, [{1, 2}, {1, 2}, {1, 2, 3}, set()])
+    assert short.bases() == {frozenset({1, 2, 3})} and "_hall" in vars(short)
+    assert short.bases() == frozenset(map(set_of, Matroid._basis_masks(short)))
 
 
 def test_restrict_contract_ranks():

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import wlpoles.diagrams
+import wlpoles.matroids
 import wlpoles.poles
 from wlpoles.cancel import CASE1A, CASE3A, classify, partners
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, edge_order, enumerate_diagrams
@@ -274,38 +275,37 @@ def test_pattern_memo_matches_direct_minors():
                     rep.necklace, rep.reverse)
 
 
-# (k, n) -> (_minor_factor_keys calls, rank computations) of
-# check_r_equalities over every diagram: both scans read one matroid, and
-# each distinct necklace entry is factored once.
-SHARED_RADICAL_WORK = {(2, 7): (406, 1120), (3, 8): (3024, 10908)}
+# (k, n) -> misses of the necklace-minor memo over check_r_equalities on
+# every diagram, from an empty memo: one factorization per distinct pair of
+# column mask and row supports inside it, however many diagrams share it.
+SHARED_RADICAL_WORK = {(2, 7): 105, (3, 8): 1267}
 
 
 @pytest.mark.parametrize("shape", sorted(SHARED_RADICAL_WORK), ids=lambda s: "k%dn%d" % s)
 def test_radicals_share_one_matroid_per_diagram(monkeypatch, shape):
+    """Each diagram gets one matroid and one basis set, both necklaces are
+    walked over it, and no rank query (so no Hall table) is made."""
     counts = Counter()
     set_rows, rank = TransversalMatroid._set_rows, TransversalMatroid._rank
-    minor_keys = wlpoles.poles._minor_factor_keys
+    basis_masks = TransversalMatroid._basis_masks
+    row_unions = wlpoles.matroids.row_unions
 
-    def counted_set_rows(self, n, masks):  # every constructor ends here
-        counts["matroid"] += 1
-        set_rows(self, n, masks)
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_rank(self, mask):
-        counts["rank"] += 1
-        return rank(self, mask)
-
-    def counted_keys(row_masks, cols):
-        counts["minor"] += 1
-        return minor_keys(row_masks, cols)
-
-    monkeypatch.setattr(TransversalMatroid, "_set_rows", counted_set_rows)
-    monkeypatch.setattr(TransversalMatroid, "_rank", counted_rank)
-    monkeypatch.setattr(wlpoles.poles, "_minor_factor_keys", counted_keys)
+    monkeypatch.setattr(TransversalMatroid, "_set_rows", counted("matroid", set_rows))
+    monkeypatch.setattr(TransversalMatroid, "_basis_masks", counted("bases", basis_masks))
+    monkeypatch.setattr(TransversalMatroid, "_rank", counted("rank", rank))
+    monkeypatch.setattr(wlpoles.matroids, "row_unions", counted("hall", row_unions))
+    wlpoles.poles._restricted_factor_keys.cache_clear()
     diagrams = enumerate_diagrams(*shape)
     for W in diagrams:
         assert check_r_equalities(W).ok
-    assert counts["matroid"] == len(diagrams)
-    assert (counts["minor"], counts["rank"]) == SHARED_RADICAL_WORK[shape]
+    assert counts == {"matroid": len(diagrams), "bases": len(diagrams)}
+    assert wlpoles.poles._restricted_factor_keys.cache_info().misses == SHARED_RADICAL_WORK[shape]
 
 
 @pytest.mark.parametrize("rows, n", [
@@ -321,11 +321,12 @@ def test_radicals_factor_each_distinct_entry_once(monkeypatch, rows, n):
     )
     M = TransversalMatroid(n, rows)
     necklace_radicals(M)
-    entries = {frozenset(I) for I in necklace(M) + reverse_necklace(M)}
-    assert sorted(calls) == sorted(tuple(sorted(I)) for I in entries)
+    entries = {mask_of(I) for I in necklace(M) + reverse_necklace(M)}
+    assert sorted(calls) == sorted(entries)
 
 
 def test_pattern_memo_holds_seven_patterns_at_k2():
+    wlpoles.poles._restricted_factor_keys.cache_clear()
     _pattern_factor_keys.cache_clear()
     for n in (6, 7, 8):
         for W in enumerate_diagrams(2, n):
@@ -427,15 +428,25 @@ def test_factor_stores_the_hash_of_its_identity_and_its_label():
                 assert hash(f) == hash((f.kind, f.rows, f.cols))
                 bare = PoleFactor(f.kind, f.rows, f.cols)
                 assert bare == f and hash(bare) == hash(f) and bare.label() == f.label()
-    assert pole_var(1, 2, edge=3) == pole_var(1, 2) and hash(pole_var(1, 2, edge=3)) == hash(pole_var(1, 2))
+    assert pole_var(1, 2) == PoleFactor("var", (1,), (2,)) and hash(pole_var(1, 2)) == hash(("var", (1,), (2,)))
     assert pole_quad(2, 1, 4, 3).label() == "quad:1:2:3:4"
     assert pole_var(1, 2) != pole_var(2, 1) and hash(pole_var(1, 2)) != hash(pole_var(2, 1))
     assert not hasattr(pole_var(1, 2), "__dict__")  # slotted
 
 
 def test_factors_and_propagators_are_interned():
-    assert pole_var(1, 2, edge=3) is pole_var(1, 2, edge=3)
-    assert pole_quad(1, 2, 3, 4) is pole_quad(1, 2, 3, 4)
+    assert pole_var(1, 2) is pole_var(1, 2)
+    assert pole_quad(1, 2, 3, 4) is pole_quad(2, 1, 4, 3) is pole_quad(1, 2, 4, 3)
+    # every group member's factor is the very object of its diagram's R,
+    # so factor-set lookups end at the identity test
+    members = 0
+    for W in enumerate_diagrams(2, 7):
+        for f in r_poly_edge(W).factors:
+            if factor_codim(W, f) == CODIM_ONE:
+                for m in partners(W, f).members:
+                    members += 1
+                    assert any(m.factor is h for h in r_poly_edge(m.diagram).factors), m.token()
+    assert members == 812
     assert Propagator.of(5, 2) is Propagator.of(2, 5)
     assert WilsonLoopDiagram(8, ((5, 2),)).props[0] is Propagator.of(2, 5)
     assert WilsonLoopDiagram.of(8, ((2, 5),)) is WilsonLoopDiagram.of(8, (Propagator.of(2, 5),))

@@ -1,14 +1,17 @@
 """Gale orders, necklaces, minimality, cell descriptors, boundaries."""
 
+import inspect
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import wlpoles.matroids
+import wlpoles.positroids
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from wlpoles.errors import StructuralError
-from wlpoles.matroids import TransversalMatroid, row_unions
-from wlpoles.poles import limit_masks, r_poly_edge
+from wlpoles.matroids import Matroid, TransversalMatroid, row_unions, set_of
+from wlpoles.poles import CODIM_ONE, _limit, factor_codim, limit_masks, r_poly_edge
 from wlpoles.positroids import (
     cell_descriptor,
     diagram_cell,
@@ -20,7 +23,9 @@ from wlpoles.positroids import (
     is_boundary_of,
     is_minimal,
     necklace,
+    necklace_masks,
     reverse_necklace,
+    subfamily_tables,
 )
 
 V1 = [{1, 2, 4, 5}, {1, 2, 3, 4}]
@@ -79,6 +84,55 @@ def test_necklace_is_gale_minimal_over_all_bases():
         for a in range(1, M.n + 1):
             assert frozenset(neck[a - 1]) == gale_min_basis(M, a)
             assert frozenset(rev[a - 1]) == gale_max_basis(M, a)
+
+
+def walk_mismatches(walk, n, rows):
+    """Shifts a where ``walk`` (``necklace_masks`` or a mutant of it)
+    disagrees with the Gale-minimal or Gale-maximal basis found by brute
+    force over the bases of the generic k-subset rank scan."""
+    forward, reverse = walk(TransversalMatroid(n, rows))
+    bases = [set_of(m) for m in Matroid._basis_masks(TransversalMatroid(n, rows))]
+    bad = []
+    for a in range(1, n + 1):
+        lo = hi = bases[0]
+        for B in bases:
+            lo = B if gale_leq(B, lo, a, n) else lo
+            hi = B if gale_leq(hi, B, a, n) else hi
+        if (set_of(forward[a - 1]), set_of(reverse[a - 1])) != (lo, hi):
+            bad.append(a)
+    return bad
+
+
+set_systems = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.frozensets(st.integers(1, n)), min_size=1, max_size=min(4, n)))
+)
+
+
+@given(set_systems)
+@example((6, [frozenset({1, 2})] * 3))  # rank-deficient: three rows, rank 2; 3..6 are loops
+@example((5, [frozenset({2}), frozenset({2, 3, 4}), frozenset()]))  # coloop 2, an empty row
+@example((4, [frozenset({1}), frozenset({2})]))  # two coloops, two loops
+@settings(max_examples=300, deadline=None)
+def test_necklace_walk_matches_brute_force_gale_order(system):
+    n, rows = system
+    if not any(rows):
+        with pytest.raises(StructuralError, match="rank-0"):
+            necklace_masks(TransversalMatroid(n, rows))
+        return
+    assert walk_mismatches(necklace_masks, n, rows) == []
+
+
+def test_necklace_walk_taking_the_last_exchange_is_caught():
+    """A mutant whose forward step takes the last basis-making candidate
+    instead of the first disagrees with the brute-force Gale order."""
+    src = inspect.getsource(necklace_masks)
+    mutant_src = src.replace("for b in after:\n                if not rest & b", "for b in after[::-1]:\n                if not rest & b")
+    assert mutant_src != src
+    scope = dict(vars(wlpoles.positroids))
+    exec(mutant_src, scope)
+    systems = [(W.n, W.supports()) for W in enumerate_diagrams(2, 6)]
+    assert not any(walk_mismatches(necklace_masks, n, rows) for n, rows in systems)
+    assert any(walk_mismatches(scope["necklace_masks"], n, rows) for n, rows in systems)
 
 
 def test_necklace_rejects_rank_zero():
@@ -150,14 +204,30 @@ def test_first_violation_matches_two_tables_on_every_limit_system():
     for n in range(5, 10):
         for k in range(1, min(4, n - 4) + 1):
             for W in enumerate_diagrams(k, n):
+                assert first_violation(W.masks) is None  # admissible diagrams are minimal
+                tables = subfamily_tables(W.masks)
                 for f in r_poly_edge(W).factors:
-                    masks = limit_masks(W, f)
+                    masks, q = _limit(W, f)
+                    assert masks == limit_masks(W, f)
                     T = first_violation(masks)
                     assert T == two_table_first_violation(masks), (W, f)
+                    # only the subfamilies through the changed row q are tested
+                    assert first_violation(masks, (q, *tables)) == T, (W, f)
+                    assert (factor_codim(W, f) == CODIM_ONE) == (T is None), (W, f)
                     checked += 1
                     violating += T is not None
     assert checked == 39_770
     assert 0 < violating < checked
+
+
+@given(st.lists(st.integers(1, (1 << 10) - 1), min_size=1, max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_first_violation_through_one_row_of_a_minimal_system(base, data):
+    assume(first_violation(base) is None)
+    q = data.draw(st.integers(0, len(base) - 1))
+    row = data.draw(st.integers(0, (1 << 10) - 1))
+    masks = [row if i == q else m for i, m in enumerate(base)]
+    assert first_violation(masks, (q, *subfamily_tables(base))) == first_violation(masks)
 
 
 @given(st.lists(st.integers(0, (1 << 10) - 1), min_size=1, max_size=6))
@@ -199,6 +269,20 @@ def test_cell_descriptor_json():
     assert js["dimension"] == 6
     assert js["rows"] == [[1, 2, 4, 5], [1, 2, 3, 4]]
     assert js["necklace"][0] == [1, 2]
+
+
+def test_cell_descriptor_builds_one_subset_table(monkeypatch):
+    """Rank and necklaces come from the basis set, so the minimality count
+    builds the only subset table: no Hall table is made."""
+    tables = []
+    real = wlpoles.matroids.union_table
+    monkeypatch.setattr(wlpoles.matroids, "union_table", lambda m: tables.append("hall") or real(m))
+    monkeypatch.setattr(wlpoles.positroids, "union_table", lambda m: tables.append("minimality") or real(m))
+    for W in enumerate_diagrams(3, 7):
+        tables.clear()
+        cd = cell_descriptor(diagram_matroid(W))
+        assert (cd.k, cd.dimension) == (3, 9)
+        assert tables == ["minimality"], W
 
 
 def test_diagram_cell_positroid_gate():
