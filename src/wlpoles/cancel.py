@@ -14,9 +14,12 @@ recorded weights summing to zero, one exact row-space certificate that
 every member meets every other member's own limit point, and, for pairs,
 an exact sign identity under localization on twistor data.
 Limit matroids are transversal, one per distinct limit set system of a
-group (:func:`_limit_matroid`).
-Localized rows are computed once per (propagator, sample), from
-integer twistor rows cleared once per sample.
+group (:func:`_limit_matroid`).  A meet whose rows are a single entry's
+own generic rows reads its rank from that entry's limit matroid; every
+other meet takes an exact rank at one integer point (:func:`_meet`).
+Localized rows are computed once per (propagator, sample), in one
+Laplace pass over integer twistor rows cleared once per sample
+(:func:`_localized_row`).
 ``amplitude_report`` runs the whole pipeline for fixed (k, n).
 """
 
@@ -38,9 +41,9 @@ from .diagrams import (
     vertex_support,
 )
 from .errors import InconsistencyError, StructuralError
-from .exact import Polynomial, VarId, int_det, mat_rank, poly_det, specialize
+from .exact import Polynomial, VarId, mat_rank, poly_det, replacement_dets, specialize
 from .jsonout import dumps
-from .matroids import Matroid, MaxRankMatroid, TransversalMatroid
+from .matroids import Matroid, MaxRankMatroid, TransversalMatroid, set_of
 from .poles import (
     CODIM_GE2,
     PoleFactor,
@@ -72,32 +75,30 @@ EXCLUDED_CODIM2 = "codim2"
 # localization
 
 
-def _localized_row(p: Propagator, Z: TwistorData) -> tuple[Fraction, tuple[tuple[int, Fraction], ...]]:
-    """The gauge minor of p on Z and its vertex-replacement minors.
+def _localized_row(p: Propagator, Z: TwistorData) -> tuple[Fraction, dict[int, Fraction]]:
+    """The gauge minor of p on Z and its vertex-replacement minors, the
+    latter keyed by vertex.
 
     They depend on p and Z only, so they are computed once per
     (propagator, sample) and kept in ``Z.memo``.  A vanishing gauge
     minor raises and is not kept, so every later call raises too.
-    Each minor is an integer determinant of the sample's cleared rows
-    (``Z.cleared``), divided once by the product of their scales.
+    All five are 4x4 minors of one integer matrix, the sample's cleared
+    support rows (``Z.cleared``) over its cleared gauge row, taken in one
+    Laplace pass (:func:`replacement_dets`) and divided once by the
+    product of their scales.
     """
     hit = Z.memo.get(p)
     if hit is not None:
         return hit
     slots = vertex_support(p, Z.n)
     cleared = [Z.cleared[s - 1] for s in slots]
-    block = [ints[:4] for ints, _ in cleared]
-    scale = prod(m for _, m in cleared)
-    d0 = int_det([list(row) for row in block])
+    gauge, g = Z.cleared[-1]
+    d0, *dets = replacement_dets([ints[:4] for ints, _ in cleared] + [gauge[:4]])
     if d0 == 0:
         raise StructuralError(f"degenerate twistor data: gauge minor of {p} vanishes")
-    gauge, g = Z.cleared[-1]
-    entries = []
-    for pos, m in enumerate(slots):
-        rep = [list(row) for row in block]
-        rep[pos] = list(gauge[:4])
-        entries.append((m, Fraction(int_det(rep), scale // cleared[pos][1] * g)))
-    hit = Z.memo[p] = (Fraction(d0, scale), tuple(entries))
+    scale = prod(m for _, m in cleared)
+    entries = {v: Fraction(d, scale // m * g) for v, d, (_, m) in zip(slots, dets, cleared)}
+    hit = Z.memo[p] = (Fraction(d0, scale), entries)
     return hit
 
 
@@ -121,7 +122,7 @@ def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
     for r0, p in enumerate(W.props, start=1):
         d0, entries = _localized_row(p, Z)
         out[VarId(r0, 0)] = d0
-        for m, value in entries:
+        for m, value in entries.items():
             out[VarId(r0, m)] = value
     return out
 
@@ -129,7 +130,7 @@ def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
 def _localized_entry(W: WilsonLoopDiagram, Z: TwistorData, row: int, col: int) -> Fraction:
     """``localize(W, Z)[VarId(row, col)]`` for a vertex ``col``, from its row alone."""
     _require_shape(W, Z)
-    return dict(_localized_row(W.props[row - 1], Z)[1])[col]
+    return _localized_row(W.props[row - 1], Z)[1][col]
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +410,19 @@ def _member_limit(m: GroupMember) -> tuple[tuple, tuple[frozenset[int], ...], li
     sorted mask tuples, its :func:`limit_supports` and the symbolic limit
     rows :func:`_meet` reads (generic on those supports, or a quadratic's
     :func:`limit_rows`).  Its limit matroid is built from the key, once
-    per group (:func:`_limit_matroid`)."""
+    per group (:func:`_limit_matroid`).  A single entry's one limit
+    system is its :func:`limit_masks`, so its supports are read from the
+    key's system."""
     W, f = m.diagram, m.factor
-    key = tuple(sorted(tuple(sorted(s)) for s in limit_systems(W, f)))
-    supports = limit_supports(W, f)
+    systems = limit_systems(W, f)
+    key = tuple(sorted(tuple(sorted(s)) for s in systems))
     if f.kind == "var":
+        supports = tuple(map(set_of, systems[0]))
         generic = [{c: Polynomial.variable(VarId(r, c)) for c in V} for r, V in enumerate(supports, 1)]
         return key, supports, generic
     e, near, far, _, _ = quad_geometry(W, f)
     lam = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
-    return key, supports, lam
+    return key, limit_supports(W, f), lam
 
 
 def _limit_matroid(n: int, key: tuple) -> Matroid:
@@ -475,19 +479,30 @@ def _within(rows: list[dict[int, Polynomial]], support: frozenset[int]) -> dict[
     return next((r for r in live if r), {})
 
 
-def _meet(g: CancellationGroup, limits, n: int, k: int, rng) -> None:
+def _meet(g: CancellationGroup, limits, ranks: dict[tuple, int], n: int, k: int, seed: int) -> None:
     """Every member meets the limit point of every other member.
 
     The limit point of a member a is its own symbolic limit rows.
     Another member b meets it when, for each propagator x of b, the
     point's row space holds a row vanishing off x's support
     (:func:`_within`), b's factor vanishes on those rows as a
-    polynomial identity, and the rows have rank k at one integer point,
-    which proves generic rank k, because rank only drops under
-    specialization.  The same rule serves every kind of group; each
-    (point, support) row is computed once.
+    polynomial identity, and the rows have generic rank k.  The same
+    rule serves every kind of group; each (point, support) row is
+    computed once.
+
+    When a is a single entry and b's rows are exactly a's own generic
+    rows, each used once, their entries are distinct indeterminates, so
+    their generic rank is the transversal rank of a's limit set system
+    (Edmonds, "Systems of distinct representatives and linear algebra"):
+    the rank of a's limit matroid, ``ranks[key]``, which ``limit_rank``
+    has read.  Otherwise the rank is taken at one integer point, which
+    proves generic rank k, because rank only drops under
+    specialization; that point's draws come from a stream seeded per
+    group, made on first use.
     """
-    for a, (_, _, rows_a) in zip(g.members, limits):
+    rng = None
+    for a, (key, _, rows_a) in zip(g.members, limits):
+        own = sorted(map(id, rows_a)) if a.factor.kind == "var" else None
         found: dict[Propagator, dict[int, Polynomial]] = {}
         point: dict[VarId, int] = {}
         for b in g.members:
@@ -500,7 +515,12 @@ def _meet(g: CancellationGroup, limits, n: int, k: int, rng) -> None:
             grid = [found[x] for x in W.props]
             if not poly_det([[grid[r - 1].get(c, Polynomial()) for c in f.cols] for r in f.rows]).is_zero():
                 raise InconsistencyError(f"{f.label()} of {W} does not vanish at the limit of {a.token()}")
-            if mat_rank(specialize(grid, n, point, rng)) != k:
+            if own is not None and sorted(map(id, grid)) == own:
+                rank = ranks[key]
+            else:
+                rng = rng or seeded_rng(seed, "rowspace", "|".join(g.key()))
+                rank = mat_rank(specialize(grid, n, point, rng))
+            if rank != k:
                 raise InconsistencyError(f"{b.token()} does not reach the limit of {a.token()}")
 
 
@@ -525,10 +545,13 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     ``factor_codim`` (a boundary cell of dimension 3k-1), the weights
     the group records sum to zero (a triple's as numerators over 1-e,
     every member's weight known), every member meets every other
-    member's own limit point (:func:`_meet`, exact and run once), and
-    pairs satisfy the exact localization sign identity on every twistor
-    sample of :func:`sign_samples`, one set shared by all pairs of the
-    amplitude, read from integer localized rows (:func:`_localized_row`).
+    member's own limit point (:func:`_meet`, exact and run once, with
+    the limit matroid ranks ``limit_rank`` reads standing in for the
+    rank of a single entry's own generic rows), and pairs satisfy the
+    exact localization sign identity on every twistor sample of
+    :func:`sign_samples`, one set shared by all pairs of the amplitude,
+    read from localized rows taken in one integer Laplace pass each
+    (:func:`_localized_row`).
     ``trials`` counts only those sign samples, ``max(3, trials)`` of them.
     A pair not of two members fails both pair checks instead of raising,
     and a group with no members comes back unverified with one failure.
@@ -552,7 +575,8 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
 
     limits = [_member_limit(m) for m in g.members]
     matroids = {key: _limit_matroid(n, key) for key in {key for key, _, _ in limits}}
-    rank_ok = all(min(M.basis_masks()).bit_count() == k for M in matroids.values())
+    ranks = {key: min(M.basis_masks()).bit_count() for key, M in matroids.items()}
+    rank_ok = all(r == k for r in ranks.values())
     checks.append(("limit_rank", rank_ok))
     bases_ok = neck_ok = rev_ok = False
     if rank_ok:
@@ -607,7 +631,7 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
 
     rows_ok = True
     try:
-        _meet(g, limits, n, k, seeded_rng(seed, "rowspace", "|".join(g.key())))
+        _meet(g, limits, ranks, n, k, seed)
     except InconsistencyError as exc:
         rows_ok = False
         failures.append(f"row space: {exc}")

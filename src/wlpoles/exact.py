@@ -25,11 +25,14 @@ denominators and run fraction-free integer elimination (Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 1968), so no Fraction is built inside the
 elimination loop.  ``int_det`` is the integer kernel alone, for callers
-that clear their rows once and keep them.
+that clear their rows once and keep them.  ``replacement_dets`` takes the
+five 4x4 minors of a 5x4 integer matrix that keep its last row in place
+of one of the first four, by Laplace expansion over shared 2x2 minors.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -151,7 +154,10 @@ class Polynomial:
         return Polynomial({(): c})
 
     @staticmethod
+    @functools.cache
     def variable(var: VarId) -> "Polynomial":
+        """The polynomial of one variable, one shared object per variable
+        (polynomials are immutable)."""
         return Polynomial({((var, 1),): 1})
 
     @staticmethod
@@ -484,6 +490,8 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
             raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return Polynomial.constant(1)
+    if n == 1:
+        return rows[0][0]
 
     cache: dict[tuple[int, ...], Polynomial] = {}
 
@@ -601,6 +609,50 @@ def int_det(work: list[list[int]]) -> int:
             raise ValueError("determinant of a non-square matrix")
     rank, pivot, sign = _bareiss(work)
     return sign * pivot if rank == n else 0
+
+
+def _minors2(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    """The six 2x2 minors of rows u and v of length 4, on the column pairs
+    01, 02, 03, 12, 13, 23."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return (
+        u0 * v1 - u1 * v0,
+        u0 * v2 - u2 * v0,
+        u0 * v3 - u3 * v0,
+        u1 * v2 - u2 * v1,
+        u1 * v3 - u3 * v1,
+        u2 * v3 - u3 * v2,
+    )
+
+
+def _laplace(top: tuple[int, ...], bottom: tuple[int, ...]) -> int:
+    """Determinant of the 4x4 matrix whose rows 1-2 have the 2x2 minors
+    ``top`` and rows 3-4 the minors ``bottom`` (:func:`_minors2`): Laplace
+    expansion along the first two rows."""
+    a01, a02, a03, a12, a13, a23 = top
+    b01, b02, b03, b12, b13, b23 = bottom
+    return a01 * b23 - a02 * b13 + a03 * b12 + a12 * b03 - a13 * b02 + a23 * b01
+
+
+def replacement_dets(rows: Sequence[Sequence[int]]) -> tuple[int, int, int, int, int]:
+    """Determinants of a 5x4 integer matrix's 4x4 blocks that keep rows 0-3
+    in order with at most one of them replaced by row 4: first det(rows
+    0-3), then, for i = 0..3, the determinant with row 4 in slot i.
+
+    Each is one six-term Laplace sum over the 2x2 minors of two row
+    pairs, and the six pairs that occur are formed once, so the five
+    determinants take 36 2x2 minors in place of five eliminations.
+    """
+    r0, r1, r2, r3, g = rows
+    top, bottom = _minors2(r0, r1), _minors2(r2, r3)
+    return (
+        _laplace(top, bottom),
+        _laplace(_minors2(g, r1), bottom),
+        _laplace(_minors2(r0, g), bottom),
+        _laplace(top, _minors2(g, r3)),
+        _laplace(top, _minors2(r2, g)),
+    )
 
 
 def mat_det(rows: Sequence[Sequence[Scalar]]) -> Fraction:

@@ -93,17 +93,19 @@ def twistor_data(k: int, n: int, seed: int, zero_gauge: bool = False) -> Twistor
     Rows are scaled Vandermonde vectors (1, t, ..., t^{k+3}) at
     strictly increasing positive rationals t, so ordered maximal
     minors are positive products of differences; the scales keep the
-    sample varied without touching signs.
+    sample varied without touching signs.  Every t = N/1000 is drawn
+    first, the i-th (from 1) with N = 1000 i + a draw from [1, 999];
+    then each row's scale a/b draws a, then b, from [1, 1000].  Entry j
+    of the row is built from these integers as the one Fraction
+    a N^j / (b 1000^j).
     """
     width = k + 4
     rng = seeded_rng(seed, "twistor", k, n)
-    ts: list[Fraction] = []
-    for i in range(n):
-        ts.append(Fraction(i + 1) + Fraction(rng.randint(1, 999), 1000))
+    numerators = [1000 * i + rng.randint(1, 999) for i in range(1, n + 1)]
     rows = []
-    for t in ts:
-        scale = rand_fraction(rng)
-        rows.append(tuple(scale * t**j for j in range(width)))
+    for N in numerators:
+        a, b = rng.randint(1, 1000), rng.randint(1, 1000)
+        rows.append(tuple(Fraction(a * N**j, b * 1000**j) for j in range(width)))
     if zero_gauge:
         gauge = tuple(Fraction(0) for _ in range(width))
     else:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wlpoles.cancel
 import wlpoles.matroids
@@ -383,27 +384,53 @@ def test_sign_samples_drawn_once_per_amplitude(monkeypatch):
 
 
 def test_localize_det_calls_per_propagator_sample(monkeypatch):
-    """Localization runs at most five 4x4 integer determinants per
-    localized propagator and sample, and no rational ``mat_det``."""
+    """Localization runs one Laplace pass (``replacement_dets``) on the
+    integer 5x4 matrix of each localized propagator and sample, and no
+    Bareiss or rational determinant."""
     calls = []
-    det = wlpoles.cancel.int_det
+    kernel = wlpoles.cancel.replacement_dets
 
-    def counted_det(rows):
-        assert all(type(x) is int for row in rows for x in row)
-        calls.append(len(rows))
-        return det(rows)
+    def counted_kernel(rows):
+        assert len(rows) == 5 and all(len(r) == 4 and all(type(x) is int for x in r) for r in rows)
+        calls.append(rows)
+        return kernel(rows)
 
-    monkeypatch.setattr(wlpoles.cancel, "int_det", counted_det)
-    assert not hasattr(wlpoles.cancel, "mat_det")
+    monkeypatch.setattr(wlpoles.cancel, "replacement_dets", counted_kernel)
+    assert not hasattr(wlpoles.cancel, "mat_det") and not hasattr(wlpoles.cancel, "int_det")
     sign_samples.cache_clear()
     try:
         rep = amplitude_report(2, 6, trials=10)
+        samples = sign_samples(2, 6, 0, 10)
     finally:
         sign_samples.cache_clear()
     assert rep.status == "complete"
-    localized = {p for g in rep.groups if g.kind == "pair" for m in g.members for p in m.diagram.props}
-    assert calls and set(calls) == {4}
-    assert len(calls) <= 5 * len(localized) * 10
+    localized = {m.diagram.props[m.factor.rows[0] - 1] for g in rep.groups if g.kind == "pair" for m in g.members}
+    assert all(set(Z.memo) == localized for Z in samples)
+    assert len(calls) == len(localized) * len(samples) == len(localized) * 10
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_singular_support_block_raises_and_memoizes_nothing(data):
+    """A propagator whose four support rows are dependent in their first
+    four coordinates has a zero gauge minor: its entries raise, each time,
+    and nothing is kept for it."""
+    p = Propagator.of(2, 4)  # at n = 5 its support is rows 2, 3, 4, 5
+    slots = vertex_support(p, 5)
+    ints = st.integers(-10**4, 10**4)
+    rows = [data.draw(st.lists(ints, min_size=5, max_size=5)) for _ in range(5)]
+    i, j, l = data.draw(st.permutations(slots))[:3]
+    a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    rows[i - 1][:4] = [a * x + b * y for x, y in zip(rows[j - 1][:4], rows[l - 1][:4])]
+    gauge = tuple(data.draw(st.lists(ints, min_size=5, max_size=5)))
+    Z = TwistorData(rows=tuple(map(tuple, rows)), gauge=gauge)
+    W = WilsonLoopDiagram(5, (p,))
+    for _ in range(2):
+        with pytest.raises(StructuralError, match="gauge minor of .* vanishes"):
+            _localized_entry(W, Z, 1, slots[0])
+    with pytest.raises(StructuralError):
+        localize(W, Z)
+    assert not Z.memo
 
 
 def test_limit_cell_computed_once_per_pair(monkeypatch):

@@ -17,6 +17,7 @@ from wlpoles.exact import (
     mat_det,
     mat_rank,
     poly_det,
+    replacement_dets,
     structured_factorize,
 )
 
@@ -258,6 +259,45 @@ def test_int_det_and_cleared_rows_match_mat_det():
         scale *= s
     assert Fraction(int_det([ints for ints, _ in cleared]), scale) == mat_det(m) == _fraction_det(m)
     assert int_det([[0, 1], [1, 0]]) == -1 and int_det([[1, 2], [2, 4]]) == 0 and int_det([]) == 1
+
+
+@st.composite
+def five_by_four(draw):
+    """A random integer 5x4 matrix in which, three times in four, one row
+    is an integer combination of two others, a copy of another, or zero,
+    so singular 4x4 blocks are common."""
+    ints = st.integers(-10**6, 10**6) | st.integers(-3, 3)
+    rows = [draw(st.lists(ints, min_size=4, max_size=4)) for _ in range(5)]
+    how = draw(st.sampled_from(["random", "combination", "repeat", "zero"]))
+    i, j, l = draw(st.permutations(range(5)))[:3]
+    if how == "combination":
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[l])]
+    elif how == "repeat":
+        rows[i] = list(rows[j])
+    elif how == "zero":
+        rows[i] = [0] * 4
+    return rows
+
+
+@given(five_by_four())
+@settings(max_examples=300, deadline=None)
+def test_replacement_dets_match_int_det(rows):
+    """The Laplace kernel's five determinants are ``int_det`` of rows 0-3
+    and of rows 0-3 with row 4 in each slot, singular blocks included."""
+    want = [int_det([list(r) for r in rows[:4]])]
+    for slot in range(4):
+        block = [list(r) for r in rows[:4]]
+        block[slot] = list(rows[4])
+        want.append(int_det(block))
+    assert list(replacement_dets(rows)) == want
+
+
+def test_variables_are_shared_and_a_1x1_determinant_is_its_entry():
+    x = Polynomial.variable(VarId(2, 5))
+    assert x is Polynomial.variable(VarId(2, 5)) and x == Polynomial({((VarId(2, 5), 1),): 1})
+    assert x * 3 + x == 4 * x and x.terms == {((VarId(2, 5), 1),): 1}  # arithmetic leaves the shared one as it is
+    assert poly_det([[x]]) is x
 
 
 def test_clear_row_copies_an_integer_row_without_an_lcm_pass():

@@ -12,9 +12,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import wlpoles.cancel
-from wlpoles.cancel import _within, amplitude_report, partners, verify_group
+from wlpoles.cancel import (
+    GroupMember,
+    _limit_matroid,
+    _member_limit,
+    _within,
+    amplitude_report,
+    partners,
+    verify_group,
+)
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from wlpoles.exact import Polynomial, VarId, mat_rank, poly_det, specialize
+from wlpoles.matroids import mask_of
 from wlpoles.poles import limit_rows, limit_supports, pole_quad, pole_var, quad_geometry, r_poly_edge
 
 from oracles import MatrixMatroid
@@ -133,6 +142,69 @@ def test_row_space_fails_when_a_propagator_gets_no_row(monkeypatch):
         return {} if support == dropped else within(rows, support)
 
     monkeypatch.setattr(wlpoles.cancel, "_within", no_row)
+    checked = verify_group(g, trials=3, seed=1)
+    assert dict(checked.checks)["row_space_match"] is False
+    a, b = g.members
+    assert checked.failures == (f"row space: {b.token()} does not reach the limit of {a.token()}",)
+
+
+# -- generic meets read the limit matroid's rank ------------------------------
+
+
+def test_pair_meets_take_the_limit_matroid_rank(monkeypatch):
+    """At (2,7) every pair meet is two single entries on each other's own
+    generic rows, so no pair builds a point or takes a numeric rank; every
+    triple has a quadratic member and still does."""
+    calls = []
+    spec, rank = wlpoles.cancel.specialize, wlpoles.cancel.mat_rank
+    monkeypatch.setattr(wlpoles.cancel, "specialize", lambda *a: calls.append("specialize") or spec(*a))
+    monkeypatch.setattr(wlpoles.cancel, "mat_rank", lambda rows: calls.append("rank") or rank(rows))
+    groups = amplitude_report(2, 7, seed=0, trials=1).groups
+    calls.clear()
+    by_kind = {}
+    for g in groups:
+        before = len(calls)
+        assert verify_group(g, trials=1).verified
+        by_kind.setdefault(g.kind, []).append(calls[before:])
+    assert len(by_kind["pair"]) == 140 and not any(by_kind["pair"])
+    triples = by_kind["wide"] + by_kind["narrow"]
+    assert len(triples) == 28
+    assert all(c.count("specialize") == c.count("rank") == 6 for c in triples)  # one per ordered pair
+
+
+def test_single_entry_limit_key_is_the_mask_system_of_its_limit_supports():
+    """The premise of the rank rule: a single entry's generic rows sit on
+    the one set system whose transversal matroid ``limit_rank`` reads, and
+    their rank at a random point is that matroid's rank (Edmonds)."""
+    rng = random.Random(3)
+    seen = 0
+    for k, n in ((2, 7), (3, 7)):
+        for W in enumerate_diagrams(k, n):
+            for f in r_poly_edge(W).factors:
+                if f.kind != "var":
+                    continue
+                key, supports, rows = _member_limit(GroupMember(W, f, "+1"))
+                assert supports == limit_supports(W, f)
+                assert key == (tuple(sorted(map(mask_of, supports))),)
+                assert rows == generic_rows(supports)
+                M = _limit_matroid(n, key)
+                assert mat_rank(specialize(rows, n, {}, rng)) == min(M.basis_masks()).bit_count()
+                seen += 1
+    assert seen > 1000
+
+
+def test_row_space_fails_when_within_repeats_a_row(monkeypatch):
+    """A partner whose rows at a single entry's point use one of its rows
+    twice does not meet it: the rank rule needs each row used once, so the
+    numeric rank runs and finds rank k - 1."""
+    g = partners(W42, pole_var(1, 3))
+    within = wlpoles.cancel._within
+
+    def repeat(rows, support):
+        got = within(rows, support)
+        return rows[0] if got is rows[1] else got
+
+    monkeypatch.setattr(wlpoles.cancel, "_within", repeat)
     checked = verify_group(g, trials=3, seed=1)
     assert dict(checked.checks)["row_space_match"] is False
     a, b = g.members

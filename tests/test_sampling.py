@@ -63,6 +63,27 @@ def test_twistor_determinism():
     assert twistor_data(2, 6, seed=9) != twistor_data(2, 6, seed=10)
 
 
+def fraction_chain_twistor_rows(k, n, seed):
+    """Twistor rows and gauge as a pow/mul chain of Fractions: t = i + 1 +
+    r/1000, then scale * t**j; the reference for the integer draws."""
+    width = k + 4
+    rng = seeded_rng(seed, "twistor", k, n)
+    ts = [Fraction(i + 1) + Fraction(rng.randint(1, 999), 1000) for i in range(n)]
+    rows = []
+    for t in ts:
+        scale = rand_fraction(rng)
+        rows.append(tuple(scale * t**j for j in range(width)))
+    return tuple(rows), tuple(rand_fraction(rng) for _ in range(width))
+
+
+@pytest.mark.parametrize("k, n", [(1, 6), (2, 7), (3, 9)])
+def test_integer_draws_match_the_fraction_chain(k, n):
+    for seed in range(20):
+        Z = twistor_data(k, n, seed)
+        rows, gauge = fraction_chain_twistor_rows(k, n, seed)
+        assert (Z.rows, Z.gauge) == (rows, gauge)
+
+
 def test_cleared_rows_are_positive_integer_multiples():
     Z = twistor_data(2, 7, seed=4)
     assert len(Z.cleared) == Z.n + 1  # the gauge row last
