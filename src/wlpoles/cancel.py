@@ -14,7 +14,7 @@ recorded weights summing to zero, one exact row-space certificate that
 every member meets every other member's own limit point, and, for pairs,
 an exact sign identity under localization on twistor data.
 Limit matroids are transversal, one per distinct limit set system of a
-group (:func:`_limit_matroid`).  A meet whose rows are a single entry's
+group (:func:`poles.limit_matroid`).  A meet whose rows are a single entry's
 own generic rows reads its rank from that entry's limit matroid; every
 other meet takes an exact rank at one integer point (:func:`_meet`).
 Localized rows are computed once per (propagator, sample), in one
@@ -43,12 +43,13 @@ from .diagrams import (
 from .errors import InconsistencyError, StructuralError
 from .exact import Polynomial, VarId, mat_rank, poly_det, replacement_dets, specialize
 from .jsonout import dumps
-from .matroids import Matroid, MaxRankMatroid, TransversalMatroid, set_of
+from .matroids import Matroid, set_of
 from .poles import (
     CODIM_GE2,
     PoleFactor,
     check_r_equalities,
     factor_codim,
+    limit_matroid,
     limit_rows,
     limit_supports,
     limit_systems,
@@ -102,13 +103,6 @@ def _localized_row(p: Propagator, Z: TwistorData) -> tuple[Fraction, dict[int, F
     return hit
 
 
-def _require_shape(W: WilsonLoopDiagram, Z: TwistorData) -> None:
-    if Z.n != W.n:
-        raise StructuralError(f"twistor data has n={Z.n}, diagram needs n={W.n}")
-    if Z.width != W.k + 4:
-        raise StructuralError(f"twistor width {Z.width}, diagram needs k+4={W.k + 4}")
-
-
 def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
     """Evaluate every matrix entry of W on twistor data, exactly.
 
@@ -117,7 +111,10 @@ def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
     entry x[r, m] replaces the slot of vertex m by the gauge row Z_0.
     Degenerate data (a vanishing gauge minor) is rejected.
     """
-    _require_shape(W, Z)
+    if Z.n != W.n:
+        raise StructuralError(f"twistor data has n={Z.n}, diagram needs n={W.n}")
+    if Z.width != W.k + 4:
+        raise StructuralError(f"twistor width {Z.width}, diagram needs k+4={W.k + 4}")
     out: dict[VarId, Fraction] = {}
     for r0, p in enumerate(W.props, start=1):
         d0, entries = _localized_row(p, Z)
@@ -128,8 +125,9 @@ def localize(W: WilsonLoopDiagram, Z: TwistorData) -> dict[VarId, Fraction]:
 
 
 def _localized_entry(W: WilsonLoopDiagram, Z: TwistorData, row: int, col: int) -> Fraction:
-    """``localize(W, Z)[VarId(row, col)]`` for a vertex ``col``, from its row alone."""
-    _require_shape(W, Z)
+    """``localize(W, Z)[VarId(row, col)]`` for a vertex ``col``, from its row
+    alone.  Z's shape is not checked: the sign check's samples are drawn
+    at the one (k, n) that :func:`verify_group` requires of a group."""
     return _localized_row(W.props[row - 1], Z)[1][col]
 
 
@@ -410,7 +408,7 @@ def _member_limit(m: GroupMember) -> tuple[tuple, tuple[frozenset[int], ...], li
     sorted mask tuples, its :func:`limit_supports` and the symbolic limit
     rows :func:`_meet` reads (generic on those supports, or a quadratic's
     :func:`limit_rows`).  Its limit matroid is built from the key, once
-    per group (:func:`_limit_matroid`).  A single entry's one limit
+    per group (:func:`limit_matroid`).  A single entry's one limit
     system is its :func:`limit_masks`, so its supports are read from the
     key's system."""
     W, f = m.diagram, m.factor
@@ -423,13 +421,6 @@ def _member_limit(m: GroupMember) -> tuple[tuple, tuple[frozenset[int], ...], li
     e, near, far, _, _ = quad_geometry(W, f)
     lam = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
     return key, limit_supports(W, f), lam
-
-
-def _limit_matroid(n: int, key: tuple) -> Matroid:
-    """The limit matroid of a key of limit set systems: one system's
-    transversal matroid, or the max-rank pair of a quadratic's two."""
-    parts = [TransversalMatroid.of_masks(n, s) for s in key]
-    return parts[0] if len(parts) == 1 else MaxRankMatroid(*parts)
 
 
 def _cell(M: Matroid) -> tuple[frozenset[int], tuple[int, ...], tuple[int, ...]]:
@@ -535,6 +526,11 @@ def sign_samples(k: int, n: int, seed: int, count: int) -> tuple[TwistorData, ..
     return tuple(twistor_data(k, n, seed=rng.randrange(1 << 30)) for _ in range(count))
 
 
+def _unverified(g: CancellationGroup, failure: str) -> CancellationGroup:
+    """A group no check can run on, returned unverified with one failure."""
+    return dataclasses.replace(g, boundary=None, checks=(), failures=(failure,), verified=False)
+
+
 def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> CancellationGroup:
     """Run all certificates on a group and return it annotated.
 
@@ -553,8 +549,9 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     read from localized rows taken in one integer Laplace pass each
     (:func:`_localized_row`).
     ``trials`` counts only those sign samples, ``max(3, trials)`` of them.
-    A pair not of two members fails both pair checks instead of raising,
-    and a group with no members comes back unverified with one failure.
+    A pair not of two members fails both pair checks instead of raising.
+    A group with no members, or with members on different (k, n), comes
+    back unverified with one failure and no checks.
 
     ``boundary`` describes the base member's limit.  For a wide triple
     its ``rows`` are the base quadratic's display supports, not the
@@ -563,18 +560,16 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     if trials < 1:
         raise StructuralError(f"verify_group needs at least one trial, got {trials}")
     if not g.members:
-        return dataclasses.replace(
-            g, boundary=None, checks=(), failures=("group has no members",), verified=False
-        )
-    checks: list[tuple[str, bool]] = []
-    failures: list[str] = []
+        return _unverified(g, "group has no members")
     k = g.members[0].diagram.k
     n = g.members[0].diagram.n
     if any(m.diagram.k != k or m.diagram.n != n for m in g.members):
-        raise StructuralError("group members live on different ground data")
+        return _unverified(g, "group members live on different ground data")
+    checks: list[tuple[str, bool]] = []
+    failures: list[str] = []
 
     limits = [_member_limit(m) for m in g.members]
-    matroids = {key: _limit_matroid(n, key) for key in {key for key, _, _ in limits}}
+    matroids = {key: limit_matroid(n, key) for key in {key for key, _, _ in limits}}
     ranks = {key: min(M.basis_masks()).bit_count() for key, M in matroids.items()}
     rank_ok = all(r == k for r in ranks.values())
     checks.append(("limit_rank", rank_ok))

@@ -18,7 +18,7 @@ from .diagrams import WilsonLoopDiagram, enumerate_diagrams, validate
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
 from .jsonout import dumps
 from .matroids import _STRUCTURE_LIMIT, TransversalMatroid, structure
-from .poles import PoleFactor, check_r_equalities, necklace_radicals
+from .poles import PoleFactor, check_r_equalities, cover_factors, necklace_radicals
 from .positroids import cell_descriptor, diagram_cell, diagram_matroid
 
 N_CAP = 12
@@ -97,6 +97,10 @@ def _analyze_diagram(cfg: argparse.Namespace, obj: dict) -> tuple[dict, int]:
     head.update(
         {
             "cell": diagram_cell(W, M).to_json(),
+            "covers": [
+                {"permutation": list(g), "factors": [f.label() for f in fs]}
+                for g, fs in sorted(cover_factors(W, M).items())
+            ],
             "flats": structure(M).to_json(),
             "r": {
                 "edge": [f.to_json() for f in eq.edge.factors],

@@ -151,22 +151,6 @@ class WilsonLoopDiagram:
 _interned = functools.lru_cache(maxsize=4096)(WilsonLoopDiagram)
 
 
-def propagator_flat(P: Iterable[Propagator], W: WilsonLoopDiagram) -> frozenset[int]:
-    """Vertices avoided by every propagator outside P.
-
-    F(P) is the complement of the union of supports of the
-    complementary propagator set.  F of the full set is all of [n].
-    """
-    pset = {Propagator.of(*p) for p in P}
-    if not pset <= set(W.props):
-        raise StructuralError(f"{sorted(pset)} is not a subset of {W}")
-    covered: set[int] = set()
-    for q in W.props:
-        if q not in pset:
-            covered.update(vertex_support(q, W.n, strict=False))
-    return frozenset(range(1, W.n + 1)) - covered
-
-
 def crossing(p: Propagator, q: Propagator) -> bool:
     """True when the two propagators interleave around the circle.
 

@@ -5,7 +5,7 @@ system (rank by Hall's deficiency formula), the max-rank pair of two
 matroids (a vanishing quadratic's limit matroid, from two transversal
 systems), and minors (restriction or contraction) of any of them.  No
 realization takes symbolic minors.  On top of the rank oracle sit bases,
-circuits, closure, flats, cyclic flats, flacets, connectivity, and
+closure, flats, cyclic flats, flacets, connectivity, and
 the cyclic-interval positroid test.  Bases are bit masks, listed once per
 instance: by a rank scan of the k-subsets in general, and without a rank
 query for a transversal matroid (its systems of distinct representatives)
@@ -137,19 +137,6 @@ class Matroid:
 
     def bases(self) -> frozenset[frozenset[int]]:
         return frozenset(map(set_of, self.basis_masks()))
-
-    def circuits(self) -> list[frozenset[int]]:
-        """Minimal dependent sets; any circuit has at most k+1 elements."""
-        found: list[frozenset[int]] = []
-        elems = sorted(self.ground)
-        for size in range(1, self.k + 2):
-            for combo in itertools.combinations(elems, size):
-                s = set(combo)
-                if any(c <= s for c in found):
-                    continue
-                if self.rank_mask(mask_of(combo)) < size:
-                    found.append(frozenset(combo))
-        return found
 
     def closure(self, S: Iterable[int]) -> frozenset[int]:
         m = mask_of(S)

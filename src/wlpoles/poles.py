@@ -11,8 +11,10 @@ factors mapped back to the columns.  The module also classifies each
 factor's vanishing locus by codimension, with one rule for single
 entries and quadratics alike: codimension one iff the factor's limit
 set system (:func:`limit_masks`) is minimal (checked against the case
-tags on all 39,770 factors at k <= 4, n <= 9).  It certifies boundary
-cells that no factor vanishes on.
+tags on all 39,770 factors at k <= 4, n <= 9).  The pole-free boundaries
+of a cell are the covers of its bounded affine permutation that no
+factor's exact limit matroid (:func:`limit_matroid`) lands on
+(:func:`cover_factors`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .diagrams import (
@@ -28,18 +29,18 @@ from .diagrams import (
     WilsonLoopDiagram,
     cyc,
     fan_order,
-    propagator_flat,
     validate,
 )
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
 from .exact import Polynomial, VarId, structured_factorize
 from .matrices import SymbolicMatrix
-from .matroids import TransversalMatroid, is_cyclic_interval, mask_of, set_of
+from .matroids import Matroid, MaxRankMatroid, TransversalMatroid, set_of
 from .positroids import (
+    affine_covers,
+    affine_permutation,
     diagram_matrix,
     diagram_matroid,
     first_violation,
-    is_boundary_of,
     necklace,
     necklace_masks,
     necklace_minors,
@@ -469,6 +470,13 @@ def limit_systems(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[tuple[int, ...],
     )
 
 
+def limit_matroid(n: int, systems: Sequence[Sequence[int]]) -> Matroid:
+    """The limit matroid of a factor's :func:`limit_systems`: one system's
+    transversal matroid, or the max-rank pair of a quadratic's two."""
+    parts = [TransversalMatroid.of_masks(n, s) for s in systems]
+    return parts[0] if len(parts) == 1 else MaxRankMatroid(*parts)
+
+
 def limit_supports(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[frozenset[int], ...]:
     """The rows of :func:`limit_masks` as vertex sets."""
     return tuple(map(set_of, limit_masks(W, f)))
@@ -562,165 +570,32 @@ def vanish_on_boundary_witness(
     )
 
 
-@dataclass(frozen=True)
-class BoundaryNoPoleCertificate:
-    """Boundary cell reached by zeroing one flat and growing another,
-    on which no factor of R vanishes identically."""
+def cover_factors(
+    W: WilsonLoopDiagram, M: TransversalMatroid | None = None
+) -> dict[tuple[int, ...], tuple[PoleFactor, ...]]:
+    """Each cover of W's cell (:func:`positroids.affine_covers` of its
+    bounded affine permutation) with the codimension-one factors of R(W)
+    whose exact limit matroid (:func:`limit_matroid`) has that
+    permutation; ``M`` is W's matroid when the caller holds it.
 
-    zero_flat: frozenset[int]
-    extend_flat: frozenset[int]
-    vprime_rows: tuple[frozenset[int], ...]
-    v: int
-    w: int
-    checks: tuple[tuple[str, bool], ...]
-    implication: str
-
-    @property
-    def valid(self) -> bool:
-        return all(flag for _, flag in self.checks) and self.implication == "certified"
-
-    def to_json(self) -> dict:
-        return {
-            "zero_flat": sorted(self.zero_flat),
-            "extend_flat": sorted(self.extend_flat),
-            "vprime_rows": [sorted(r) for r in self.vprime_rows],
-            "v": self.v,
-            "w": self.w,
-            "checks": {name: flag for name, flag in self.checks},
-            "implication": self.implication,
-            "valid": self.valid,
-        }
-
-
-def _interval_start(S: frozenset[int], n: int) -> int:
-    for s in sorted(S):
-        if cyc(s - 1, n) not in S:
-            return s
-    raise StructuralError(f"{sorted(S)} has no cyclic start in [{n}]")
-
-
-def _first_positive(S: frozenset[int], start: int, M: TransversalMatroid) -> int | None:
-    n = M.n
-    for t in range(n):
-        c = cyc(start + t, n)
-        if c not in S:
-            continue
-        if M.rank(frozenset([c])) > 0:
-            return c
-    return None
-
-
-def boundary_without_pole(W: WilsonLoopDiagram) -> list[BoundaryNoPoleCertificate]:
-    """Search for boundary cells that carry no pole of R.
-
-    Candidates are pairs of propagator flats, each a cyclic flat of
-    rank strictly between 0 and k, with both flats and their union
-    cyclic intervals and neither flat nested in the other.  The flat
-    of smaller difference-rank is zeroed out of the rows meeting it,
-    the rows meeting the other flat are extended across the union,
-    and the resulting system is certified: rank preserved, bases
-    strictly contained, necklace changed at the witness column v but
-    not at w, restricted circuits still dependent, and the minor
-    non-vanishing implication established by factor containment.
+    A cover that no factor hits is a pole-free boundary: the zero set of
+    an irreducible factor lies in the closure of the cell of its generic
+    point, which holds only that cell and cells of smaller dimension, so
+    it misses every other cover.  A codimension-one factor whose limit is
+    not a cover contradicts the minimality rule of :func:`factor_codim`
+    and raises.
     """
-    verdict = validate(W)
-    if not verdict.admissible:
-        raise StructuralError(f"diagram not admissible: {W}")
-    n, k = W.n, W.k
-    if k < 2:
-        return []
-    supports = W.supports()
-    M = diagram_matroid(W)
-    nk = necklace(M)
-
-    flats: set[frozenset[int]] = set()
-    for size in range(len(W.props) + 1):
-        for P in combinations(W.props, size):
-            F = propagator_flat(frozenset(P), W)
-            if not 0 < M.rank(F) < k:
-                continue
-            if M.closure(F) != F or not M.is_cyclic_flat(F):
-                continue
-            if not is_cyclic_interval(F, n):
-                continue
-            flats.add(F)
-
-    certs: list[BoundaryNoPoleCertificate] = []
-    seen: set[tuple] = set()
-    for F1, F2 in combinations(sorted(flats, key=sorted), 2):
-        if F1 <= F2 or F2 <= F1:
+    if M is None:
+        M = diagram_matroid(W)
+    hits: dict[tuple[int, ...], list[PoleFactor]] = {
+        g: [] for g in affine_covers(affine_permutation(necklace_masks(M)[0], W.n))
+    }
+    for f in r_poly_edge(W).factors:
+        if factor_codim(W, f) != CODIM_ONE:
             continue
-        union = F1 | F2
-        if not is_cyclic_interval(union, n) or len(union) == n:
-            continue
-        r12 = M.rank(F1 - F2)
-        r21 = M.rank(F2 - F1)
-        orientations = []
-        if r12 >= r21:
-            orientations.append((F2, F1))
-        if r21 >= r12:
-            orientations.append((F1, F2))
-        for Z, X in orientations:
-            zi = [i for i, V in enumerate(supports) if V & Z]
-            xi = [i for i, V in enumerate(supports) if V & X]
-            if set(zi) & set(xi):
-                continue
-            vrows = list(supports)
-            for i in zi:
-                vrows[i] = vrows[i] - Z
-            for i in xi:
-                vrows[i] = vrows[i] | union
-            v = _first_positive(union, _interval_start(union, n), M)
-            if v is None:
-                continue
-            other = X if v not in X else (Z if v not in Z else None)
-            if other is None:
-                continue
-            w = _first_positive(other, _interval_start(other, n), M)
-            if w is None:
-                continue
-
-            key = (tuple(sorted(tuple(sorted(r)) for r in vrows)), v, w)
-            if key in seen:
-                continue
-            seen.add(key)
-
-            Mp = TransversalMatroid(n, vrows)
-            checks: list[tuple[str, bool]] = []
-            checks.append(("rank_preserved", Mp.k == k))
-            if Mp.k != k:
-                certs.append(BoundaryNoPoleCertificate(
-                    zero_flat=Z, extend_flat=X, vprime_rows=tuple(vrows),
-                    v=v, w=w, checks=tuple(checks), implication="inconclusive",
-                ))
-                continue
-            ev = is_boundary_of(vrows, supports, n)
-            checks.append(("bases_contained", ev.is_boundary))
-            nkp = necklace(Mp)
-            checks.append(("necklace_differs_at_v",
-                           set(nkp[v - 1]) != set(nk[v - 1])))
-            checks.append(("necklace_matches_at_w",
-                           set(nkp[w - 1]) == set(nk[w - 1])))
-            circuits_ok = True
-            for F in (X, Z):
-                for C in M.restrict(F).circuits():
-                    if Mp.rank(C) >= len(C):
-                        circuits_ok = False
-            checks.append(("circuits_preserved", circuits_ok))
-
-            implication = "inconclusive"
-            try:
-                kv, kw, kpv = (
-                    _minor_factor_keys(M.row_masks, mask_of(I))
-                    for I in (nk[v - 1], nk[w - 1], nkp[v - 1])
-                )
-                if None not in (kv, kw, kpv) and kv <= (kw | kpv):
-                    implication = "certified"
-            except UnstructuredResidualError:
-                pass
-
-            certs.append(BoundaryNoPoleCertificate(
-                zero_flat=Z, extend_flat=X, vprime_rows=tuple(vrows),
-                v=v, w=w, checks=tuple(checks), implication=implication,
-            ))
-    return certs
+        limit = limit_matroid(W.n, limit_systems(W, f))
+        g = affine_permutation(necklace_masks(limit)[0], W.n)
+        if g not in hits:
+            raise InconsistencyError(f"the limit of {f.label()} on {W} is not a cover of its cell")
+        hits[g].append(f)
+    return {g: tuple(fs) for g, fs in hits.items()}

@@ -1,14 +1,17 @@
-"""Grassmann necklaces, cell descriptors, and boundary relations.
+"""Grassmann necklaces, bounded affine permutations, and cell descriptors.
 
 The necklace of a rank-k matroid is the n-tuple of Gale-minimal
 bases, one per cyclic shift of the ground order; the reverse necklace
 collects the Gale-maximal ones.  Both are walked over the matroid's basis
 masks (:func:`necklace_masks`): each starts at the colex-least or
 colex-greatest basis and moves to the next shift by at most one exchange,
-with no rank query.  Minimality of a set-system representation is the
-subset counting inequality, read off the table of row unions and widest
-rows of every subfamily (:func:`subfamily_tables`); its cell dimension is
-entries minus k.
+with no rank query.  The forward walk's exchanges give the cell's bounded
+affine permutation (:func:`affine_permutation`), whose length gives the
+cell's dimension and whose covers are the codimension-one cells on the
+cell's boundary (:func:`affine_covers`).  Minimality of a set-system
+representation is the subset counting inequality, read off the table of
+row unions and widest rows of every subfamily (:func:`subfamily_tables`);
+its cell dimension is entries minus k.
 """
 
 from __future__ import annotations
@@ -83,6 +86,59 @@ def necklace_masks(M: Matroid) -> tuple[list[int], list[int]]:
         forward.append(I)
         reverse.append(J)
     return forward, reverse
+
+
+def affine_permutation(forward: Sequence[int], n: int) -> tuple[int, ...]:
+    """The bounded affine permutation f(1)..f(n) of the necklace I_1..I_n
+    given as masks (:func:`necklace_masks`'s first walk).
+
+    Read off I_{i+1} = I_i - {i} + {j}: f(i) = i + ((j - i) mod n); a
+    coloop keeps I_{i+1} = I_i, f(i) = i + n, and a loop is not in I_i,
+    f(i) = i (Knutson, Lam & Speyer, "Positroid varieties: juggling and
+    geometry").  Then i <= f(i) <= i + n and the f(i) - i sum to kn.
+    """
+    f = []
+    for i, (I, nxt) in enumerate(zip(forward, [*forward[1:], forward[0]]), start=1):
+        if not I >> (i - 1) & 1:
+            f.append(i)
+        elif nxt == I:
+            f.append(i + n)
+        else:
+            f.append(i + ((nxt & ~I).bit_length() - i) % n)
+    return tuple(f)
+
+
+def affine_length(f: Sequence[int]) -> int:
+    """The length of an affine permutation given as f(1)..f(n): the pairs
+    i < j, i in [n], j an integer, with f(i) > f(j), where
+    f(j + n) = f(j) + n.  For a bounded f only j < i + n can count, and
+    its cell has dimension k(n - k) - length."""
+    n = len(f)
+    return sum(
+        f[i] > (f[j] if j < n else f[j - n] + n)
+        for i in range(n)
+        for j in range(i + 1, i + n)
+    )
+
+
+def affine_covers(f: Sequence[int]) -> list[tuple[int, ...]]:
+    """The covers of a bounded affine permutation: each bounded f.t_ab,
+    which swaps the values at a and at b (and at every shift of both by
+    n), whose length is one more than f's.  Each is the permutation of a
+    codimension-one cell on the boundary of f's cell (Postnikov, "Total
+    positivity, Grassmannians, and networks").  Listed by (a, b), with
+    a in [n] and a < b < a + n, so each transposition once."""
+    n = len(f)
+    target = affine_length(f) + 1
+    out = []
+    for a in range(n):
+        for b in range(a + 1, a + n):
+            g = list(f)
+            shift = n if b >= n else 0
+            g[a], g[b - shift] = f[b - shift] + shift, f[a] - shift
+            if all(i <= v <= i + n for i, v in enumerate(g, start=1)) and affine_length(g) == target:
+                out.append(tuple(g))
+    return out
 
 
 def necklace_entries(masks: Sequence[int]) -> list[tuple[int, ...]]:
@@ -248,43 +304,3 @@ def diagram_cell(W: WilsonLoopDiagram, M: TransversalMatroid | None = None) -> C
         M = diagram_matroid(W)
     is_positroid(M, expect=True)
     return cell_descriptor(M)
-
-
-@dataclass(frozen=True)
-class BoundaryEvidence:
-    is_boundary: bool
-    contained: bool
-    proper: bool
-    necklace_diff: tuple[int, tuple[int, ...], tuple[int, ...]] | None
-
-    def __bool__(self) -> bool:
-        return self.is_boundary
-
-
-def is_boundary_of(
-    Vb: Sequence[Iterable[int]], V: Sequence[Iterable[int]], n: int
-) -> BoundaryEvidence:
-    """True when the cell of Vb lies strictly below the cell of V.
-
-    Decided at the matroid level: the bases of M(Vb) must be a proper
-    subset of the bases of M(V).  Evidence includes the first shift
-    where the necklaces differ, when they do.
-    """
-    Mb = TransversalMatroid(n, [frozenset(r) for r in Vb])
-    M = TransversalMatroid(n, [frozenset(r) for r in V])
-    if Mb.k != M.k:
-        raise StructuralError(f"rank mismatch: {Mb.k} vs {M.k}")
-    if Mb.k == 0:
-        raise StructuralError("boundary comparison needs positive rank")
-    bb, b = Mb.bases(), M.bases()
-    contained = bb <= b
-    proper = contained and bb != b
-    diff = None
-    if proper:
-        for a, (ia, ib) in enumerate(zip(necklace(M), necklace(Mb)), start=1):
-            if set(ia) != set(ib):
-                diff = (a, ia, ib)
-                break
-    return BoundaryEvidence(
-        is_boundary=proper, contained=contained, proper=proper, necklace_diff=diff
-    )

@@ -28,8 +28,8 @@ from wlpoles.matroids import TransversalMatroid, check_rank_oracle
 from wlpoles.poles import (
     CODIM_GE2,
     CODIM_ONE,
-    boundary_without_pole,
     check_r_equalities,
+    cover_factors,
     factor_codim,
     pole_var,
     r_poly_edge,
@@ -186,14 +186,14 @@ def test_criterion_08_cancellation_partition():
 
 
 def test_criterion_09_boundary_without_pole():
+    """W42's cell has exactly one cover that no factor of R hits: the cell
+    (3,7,4,5,6,8) of the rows {1,2}, [6]."""
     t0 = time.perf_counter()
-    certs = [c for c in boundary_without_pole(W42) if c.valid]
-    assert len(certs) == 1
-    cert = certs[0]
-    assert set(cert.vprime_rows) == {frozenset({1, 2}), frozenset(range(1, 7))}
-    assert cert.v == 3 and cert.w == 5
-    assert cert.implication == "certified"
-    passline(9, "pole-free boundary certificate", t0, budget=1.0)
+    covers = cover_factors(W42)
+    assert len(covers) == 8
+    assert [g for g, fs in covers.items() if not fs] == [(3, 7, 4, 5, 6, 8)]
+    assert all(len(fs) == 1 for g, fs in covers.items() if g != (3, 7, 4, 5, 6, 8))
+    passline(9, "one pole-free boundary cover", t0, budget=1.0)
 
 
 def test_criterion_10_rank_oracle_agreement():

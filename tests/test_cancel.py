@@ -11,6 +11,7 @@ import wlpoles.matroids
 from wlpoles.cancel import (
     CASE2A,
     CASE3B,
+    GroupMember,
     _fan_base,
     _localized_entry,
     _move,
@@ -132,12 +133,6 @@ def test_localize_rejects_shape_mismatch():
         localize(W42, twistor_data(2, 7, seed=0))
     with pytest.raises(StructuralError):
         localize(W42, twistor_data(1, 6, seed=0))
-
-
-def test_localized_entry_rejects_shape_mismatch():
-    for Z in (twistor_data(2, 7, seed=0), twistor_data(1, 6, seed=0)):
-        with pytest.raises(StructuralError):
-            _localized_entry(W42, Z, 1, 1)
 
 
 def test_sign_check_entry_matches_localize():
@@ -502,6 +497,18 @@ def test_a_group_without_members_fails_without_raising():
     for g in (partners(W42, pole_var(1, 3)), partners(W42, pole_quad(1, 2, 1, 2))):
         bad = verify_group(dataclasses.replace(g, members=()), trials=3, seed=1)
         assert bad.failures == ("group has no members",)
+        assert not bad.verified and bad.checks == () and bad.boundary is None
+
+
+def test_a_group_across_ground_data_fails_without_raising():
+    """Members on different (k, n) come back unverified, as an empty group
+    does: one failure and no checks."""
+    g = partners(W42, pole_var(1, 3))
+    for k, n in ((2, 7), (1, 6)):
+        W = enumerate_diagrams(k, n)[0]
+        stranger = GroupMember(W, r_poly_edge(W).factors[0], "-1")
+        bad = verify_group(dataclasses.replace(g, members=(g.members[0], stranger)), trials=3, seed=1)
+        assert bad.failures == ("group members live on different ground data",)
         assert not bad.verified and bad.checks == () and bad.boundary is None
 
 

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -124,10 +125,12 @@ def test_analyze_names_an_unstructured_necklace_minor(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("payload, built", [(RAW, 1), (DIAGRAM, 2)], ids=["rows", "diagram"])
+@pytest.mark.parametrize("payload, built", [(RAW, 1), (DIAGRAM, 10)], ids=["rows", "diagram"])
 def test_analyze_builds_one_matroid_per_input(tmp_path, capsys, monkeypatch, payload, built):
     """Rows: one matroid for the radicals, the cell and the flats.  A diagram:
-    one inside check_r_equalities and one for its cell and flats."""
+    one inside check_r_equalities, one for its cell, flats and covers, and
+    one per limit system of its codimension-one factors, all distinct: six
+    single entries with one system each and a quadratic with two."""
     count = []
     set_rows = TransversalMatroid._set_rows  # every constructor ends here
     monkeypatch.setattr(
@@ -137,6 +140,24 @@ def test_analyze_builds_one_matroid_per_input(tmp_path, capsys, monkeypatch, pay
     path.write_text(json.dumps(payload))
     assert run(capsys, "analyze", str(path))[0] == 0
     assert len(count) == built
+
+
+def test_analyze_diagram_covers_and_bytes(tmp_path, capsys):
+    """Diagram mode lists each cover of the cell with the factors that hit
+    it; its bytes are pinned for one (2,7) diagram, as CI pins them."""
+    path = tmp_path / "d27.json"
+    path.write_text(json.dumps({"n": 7, "props": [[1, 3], [1, 5]]}))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5c4bc7d2372804ea298ec63a0eeee9817e0907acce90603796ba0e0178974662"
+    )
+    covers = json.loads(out)["covers"]
+    assert len(covers) == 8
+    assert [c["permutation"] for c in covers if not c["factors"]] == [[3, 8, 4, 5, 6, 9, 7]]
+    assert sorted(len(c["factors"]) for c in covers) == [0] + [1] * 7
+    path.write_text(json.dumps(RAW))
+    assert "covers" not in json.loads(run(capsys, "analyze", str(path))[1])
 
 
 def test_analyze_text_format(tmp_path, capsys):

@@ -13,7 +13,6 @@ from wlpoles.diagrams import (
     edge_order,
     enumerate_diagrams,
     is_admissible,
-    propagator_flat,
     validate,
     valid_propagators,
     vertex_support,
@@ -174,15 +173,6 @@ def test_edge_order_no_interleaving():
                 dists.append((far - e - 1) % W.n)
             assert dists == sorted(dists, reverse=True)
             assert len(set(dists)) == len(dists)
-
-
-def test_propagator_flat_and_props_on():
-    # F(P) is the complement of the support of the complementary family
-    W = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(1, 5)))
-    assert propagator_flat([Propagator.of(1, 3)], W) == frozenset({3, 4})
-    assert propagator_flat([Propagator.of(1, 5)], W) == frozenset({5, 6})
-    assert propagator_flat(W.props, W) == frozenset(range(1, 7))
-    assert propagator_flat([], W) == frozenset()
 
 
 def test_json_roundtrip():

@@ -23,12 +23,14 @@ from wlpoles.poles import (
     REVERSE_NECKLACE_RADICAL,
     PoleFactor,
     RPolynomial,
-    boundary_without_pole,
     check_r_equalities,
+    cover_factors,
     factor_codim,
     limit_masks,
+    limit_matroid,
     limit_rows,
     limit_supports,
+    limit_systems,
     necklace_radicals,
     pole_quad,
     pole_var,
@@ -38,7 +40,16 @@ from wlpoles.poles import (
     r_poly_reverse,
     vanish_on_boundary_witness,
 )
-from wlpoles.positroids import diagram_matrix, diagram_matroid, necklace, reverse_necklace
+from wlpoles.positroids import (
+    affine_covers,
+    affine_length,
+    affine_permutation,
+    diagram_matrix,
+    diagram_matroid,
+    necklace,
+    necklace_masks,
+    reverse_necklace,
+)
 
 V1 = [{1, 2, 4, 5}, {1, 2, 3, 4}]
 V2 = [{1, 2, 4, 5}, {2, 3, 4, 5}]
@@ -229,22 +240,72 @@ def test_witness_deterministic():
 
 
 def test_boundary_without_pole_golden():
-    certs = boundary_without_pole(W42)
-    valid = [c for c in certs if c.valid]
-    assert len(valid) == 1
-    cert = valid[0]
-    want = {frozenset({1, 2}), frozenset(range(1, 7))}
-    assert set(cert.vprime_rows) == want
-    assert cert.v == 3 and cert.w == 5
-    assert cert.implication == "certified"
-    assert dict(cert.checks)["rank_preserved"]
-    assert dict(cert.checks)["necklace_differs_at_v"]
-    assert dict(cert.checks)["necklace_matches_at_w"]
+    """W42's cell has 8 covers.  Seven are hit, each by one codimension-one
+    factor, and the eighth, (3,7,4,5,6,8), the cell of rows {1,2}, [6],
+    is hit by none: no factor of R vanishes on it."""
+    covers = cover_factors(W42)
+    assert set(covers) == set(affine_covers(affine_permutation(necklace_masks(diagram_matroid(W42))[0], 6)))
+    assert len(covers) == 8
+    assert [g for g, fs in covers.items() if not fs] == [(3, 7, 4, 5, 6, 8)]
+    rows = TransversalMatroid(6, [{1, 2}, set(range(1, 7))])
+    assert affine_permutation(necklace_masks(rows)[0], 6) == (3, 7, 4, 5, 6, 8)
+    hitting = sorted((f for fs in covers.values() for f in fs), key=PoleFactor.sort_key)
+    assert hitting == [f for f in r_poly_edge(W42).factors if factor_codim(W42, f) == CODIM_ONE]
 
 
-def test_boundary_without_pole_needs_two_flats():
-    W = WilsonLoopDiagram(6, (Propagator.of(2, 4),))
-    assert boundary_without_pole(W) == []
+def test_boundary_without_pole_needs_two_propagators():
+    """A single propagator's cell is a simplex in its four support
+    coordinates, and each of its covers is the zero set of one of them."""
+    for n in range(5, 10):
+        for W in enumerate_diagrams(1, n):
+            covers = cover_factors(W)
+            assert len(covers) == 4 and all(len(fs) == 1 for fs in covers.values()), W
+
+
+# Hit and unhit covers, summed over the diagrams of each shape.
+COVER_COUNTS = {(2, 6): (126, 6), (2, 7): (364, 28), (3, 7): (630, 42), (2, 8): (816, 72), (3, 8): (2520, 272)}
+
+
+def cover_counts(k, n):
+    """Hit covers, unhit covers and covers hit by more than one factor."""
+    counts = Counter()
+    for W in enumerate_diagrams(k, n):
+        for fs in cover_factors(W).values():
+            counts["hit" if fs else "unhit"] += 1
+            counts["shared"] += len(fs) > 1
+    return counts["hit"], counts["unhit"], counts["shared"]
+
+
+@pytest.mark.parametrize("shape", sorted(COVER_COUNTS), ids=lambda s: "k%dn%d" % s)
+def test_cover_counts(shape):
+    """No two factors of a diagram share a cover."""
+    assert cover_counts(*shape) == (*COVER_COUNTS[shape], 0)
+
+
+def test_cover_counts_see_a_factor_that_misses_its_cover(monkeypatch):
+    """Give x[1,3] of W42 the limit of x[2,5]: its own cover turns unhit and
+    x[2,5]'s is hit twice, so the counts of test_cover_counts move."""
+    original = wlpoles.poles.limit_systems
+
+    def moved(W, f):
+        return original(W, pole_var(2, 5) if (W, f) == (W42, pole_var(1, 3)) else f)
+
+    monkeypatch.setattr(wlpoles.poles, "limit_systems", moved)
+    assert cover_counts(2, 6) == (125, 7, 1)
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2, 3) for n in range(k + 4, 9)])
+def test_permutation_length_checks_the_codimension_rule(k, n):
+    """k(n-k) - length is 3k on every diagram cell, and 3k-1 on a factor's
+    exact limit iff factor_codim, the minimality rule, calls it
+    codimension one."""
+    top = k * (n - k)
+    for W in enumerate_diagrams(k, n):
+        assert top - affine_length(affine_permutation(necklace_masks(diagram_matroid(W))[0], n)) == 3 * k
+        for f in r_poly_edge(W).factors:
+            limit = limit_matroid(n, limit_systems(W, f))
+            dim = top - affine_length(affine_permutation(necklace_masks(limit)[0], n))
+            assert (dim == 3 * k - 1) == (factor_codim(W, f) == CODIM_ONE), (W, f, dim)
 
 
 def test_r_equality_sweep_small():

@@ -1,4 +1,5 @@
-"""Gale orders, necklaces, minimality, cell descriptors, boundaries."""
+"""Gale orders, necklaces, affine permutations and their covers, minimality,
+cell descriptors."""
 
 import inspect
 import itertools
@@ -13,6 +14,9 @@ from wlpoles.errors import StructuralError
 from wlpoles.matroids import Matroid, TransversalMatroid, row_unions, set_of
 from wlpoles.poles import CODIM_ONE, _limit, factor_codim, limit_masks, r_poly_edge
 from wlpoles.positroids import (
+    affine_covers,
+    affine_length,
+    affine_permutation,
     cell_descriptor,
     diagram_cell,
     diagram_matroid,
@@ -20,7 +24,6 @@ from wlpoles.positroids import (
     gale_key,
     gale_leq,
     gale_sorted,
-    is_boundary_of,
     is_minimal,
     necklace,
     necklace_masks,
@@ -293,15 +296,92 @@ def test_diagram_cell_positroid_gate():
 
 
 def test_is_boundary_of():
+    """A boundary cell of V one dimension down is a cover of V's
+    permutation: dropping 4 from V's second row leaves a minimal system of
+    dimension 5.  Dropping 5 from its first row leaves a system that is not
+    minimal, whose permutation is two longer and not a cover."""
     V = [{1, 2, 4, 5}, {1, 2, 3, 4}]
-    Vb = [{1, 2, 4}, {1, 2, 3, 4}]
-    ev = is_boundary_of(Vb, V, 6)
-    assert ev.is_boundary
-    assert ev.contained and ev.proper
-    same = is_boundary_of(V, V, 6)
-    assert not same.proper
+    f = permutation(6, V)
+    assert f == (3, 4, 5, 7, 8, 6) and affine_length(f) == 2
+    assert permutation(6, [{1, 2, 4, 5}, {1, 2, 3}]) in affine_covers(f)
+    below = permutation(6, [{1, 2, 4}, {1, 2, 3, 4}])
+    assert affine_length(below) == 4 and below not in affine_covers(f)
+    assert f not in affine_covers(f)
 
 
-def test_is_boundary_of_rejects_rank_mismatch():
-    with pytest.raises(StructuralError):
-        is_boundary_of([{1}], [{1, 2}, {3, 4}], 6)
+def permutation(n, rows):
+    return affine_permutation(necklace_masks(TransversalMatroid(n, rows))[0], n)
+
+
+def read_necklaces(M):
+    """f read off the entry sets of ``necklace`` and, separately, of
+    ``reverse_necklace``.  Forward: I_{i+1} = I_i - {i} + {j} gives
+    f(i) = j (mod n); i not in I_i is a loop, f(i) = i; I_{i+1} = I_i
+    otherwise is a coloop, f(i) = i + n.  Reverse: J_{a+1} = J_a + {a} - {y}
+    gives f(y) = a (mod n); a in J_a is a coloop, and J_{a+1} = J_a
+    otherwise is a loop."""
+    n = M.n
+    I = [frozenset(e) for e in necklace(M)]
+    J = [frozenset(e) for e in reverse_necklace(M)]
+    forward, reverse = [0] * n, [0] * n
+    for i in range(1, n + 1):
+        now, nxt = I[i - 1], I[i % n]
+        if i not in now:
+            forward[i - 1] = i
+        elif nxt == now:
+            forward[i - 1] = i + n
+        else:
+            (j,) = nxt - now
+            forward[i - 1] = i + (j - i) % n
+        now, nxt = J[i - 1], J[i % n]
+        if i in now:
+            reverse[i - 1] = i + n
+        elif nxt == now:
+            reverse[i - 1] = i
+        else:
+            (y,) = now - nxt
+            reverse[y - 1] = y + (i - y) % n
+    return tuple(forward), tuple(reverse)
+
+
+def shifted(f, j):
+    """f(j) for any integer j >= 1, by f(j + n) = f(j) + n."""
+    n = len(f)
+    return f[(j - 1) % n] + (j - 1) // n * n
+
+
+@given(set_systems)
+@example((6, [frozenset({1, 2})] * 3))  # rank-deficient: three rows, rank 2; 3..6 are loops
+@example((5, [frozenset({2}), frozenset({2, 3, 4}), frozenset()]))  # coloop 2, an empty row
+@example((4, [frozenset({1}), frozenset({2})]))  # two coloops, two loops
+@example((8, [frozenset({1, 3, 5, 7}), frozenset({2, 4, 6, 8}), frozenset({1, 2, 3, 4})]))
+@settings(max_examples=300, deadline=None)
+def test_affine_permutation_matches_both_necklaces(system):
+    """f agrees with both brute-force readings; it is bounded with
+    f(i) - i summing to kn; its length counts the inversions over a wider
+    window than it scans; and its covers are exactly the bounded f.t_ab
+    that the cover rule of Bruhat order picks (f(a) < f(b), no a < c < b
+    with f(a) < f(c) < f(b)), each of length one more."""
+    n, rows = system
+    M = TransversalMatroid(n, rows)
+    assume(any(rows))
+    f = affine_permutation(necklace_masks(M)[0], n)
+    assert read_necklaces(M) == (f, f)
+    k = min(M.basis_masks()).bit_count()
+    assert all(i <= v <= i + n for i, v in enumerate(f, start=1))
+    assert sum(f) - n * (n + 1) // 2 == k * n
+    length = affine_length(f)
+    assert length == sum(f[i - 1] > shifted(f, j) for i in range(1, n + 1) for j in range(i + 1, i + 3 * n))
+    covers = affine_covers(f)
+    want = set()
+    for a in range(1, n + 1):
+        for b in range(a + 1, a + n):
+            fa, fb = f[a - 1], shifted(f, b)
+            if fa < fb <= a + n and fa >= b and not any(fa < shifted(f, c) < fb for c in range(a + 1, b)):
+                g = list(f)
+                g[a - 1], g[(b - 1) % n] = fb, fa - (b - 1) // n * n
+                want.add(tuple(g))
+    assert len(covers) == len(set(covers)) and set(covers) == want
+    for g in covers:
+        assert all(i <= v <= i + n for i, v in enumerate(g, start=1))
+        assert affine_length(g) == length + 1 and sum(g) == sum(f)

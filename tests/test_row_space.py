@@ -14,7 +14,6 @@ from itertools import combinations
 import wlpoles.cancel
 from wlpoles.cancel import (
     GroupMember,
-    _limit_matroid,
     _member_limit,
     _within,
     amplitude_report,
@@ -24,7 +23,7 @@ from wlpoles.cancel import (
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from wlpoles.exact import Polynomial, VarId, mat_rank, poly_det, specialize
 from wlpoles.matroids import mask_of
-from wlpoles.poles import limit_rows, limit_supports, pole_quad, pole_var, quad_geometry, r_poly_edge
+from wlpoles.poles import limit_matroid, limit_rows, limit_supports, pole_quad, pole_var, quad_geometry, r_poly_edge
 
 from oracles import MatrixMatroid
 
@@ -187,7 +186,7 @@ def test_single_entry_limit_key_is_the_mask_system_of_its_limit_supports():
                 assert supports == limit_supports(W, f)
                 assert key == (tuple(sorted(map(mask_of, supports))),)
                 assert rows == generic_rows(supports)
-                M = _limit_matroid(n, key)
+                M = limit_matroid(n, key)
                 assert mat_rank(specialize(rows, n, {}, rng)) == min(M.basis_masks()).bit_count()
                 seen += 1
     assert seen > 1000
