@@ -146,9 +146,9 @@ class WilsonLoopDiagram:
         return f"({{{inner}}},[{self.n}])"
 
 
-# Bounded: room for every diagram a (4, 9) front half meets, and partner
-# moves land on the diagram enumeration and the R memo already hold.
-_interned = functools.lru_cache(maxsize=4096)(WilsonLoopDiagram)
+# One object per (n, props) for the life of the process, so partner moves
+# land on the diagram enumeration and the R memo already hold.
+_interned = functools.cache(WilsonLoopDiagram)
 
 
 def crossing(p: Propagator, q: Propagator) -> bool:

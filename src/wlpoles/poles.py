@@ -155,20 +155,6 @@ class RPolynomial:
         return self._factor_set
 
 
-# The (n, props) of inadmissible diagrams r_poly_edge has refused, oldest
-# first.  lru_cache keeps no call that raises, and partner moves reach the
-# same rejected diagram again (360 visits of 180 diagrams in the (3, 9)
-# front half), so the refusals are kept here, bounded.  The key is a
-# quarter of the size of the diagram object, which stays alive anyway in
-# the bounded memo of WilsonLoopDiagram.of that cancel._move builds it by.
-_REJECTED: dict[tuple[int, tuple[Propagator, ...]], None] = {}
-_REJECTED_MAX = 1024
-
-
-# Shape-sized: room for every diagram of (3, 9) (825) and (4, 9) (1,485), so
-# each R is computed once per shape, and still bounded across a sweep.  An
-# entry holds interned factors only, about 1 KB.
-@functools.lru_cache(maxsize=2048)
 def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
     """Per-edge product form of R.
 
@@ -176,17 +162,21 @@ def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
     contributes x_{q_1,e+1}, the s-1 quadratics on columns (e, e+1)
     for adjacent pairs, and x_{q_s,e}.  Factors are collected as a
     set; a repeat across edges would contradict square-freeness.
-    An inadmissible diagram raises; it is validated once while it stays
-    in ``_REJECTED``.
+    An inadmissible diagram raises; it is validated once per process.
     """
-    key = (W.n, W.props)
-    if key in _REJECTED:
+    R = _r_poly_edge(W)
+    if R is None:
         raise StructuralError(f"diagram not admissible: {W}")
+    return R
+
+
+# One entry per diagram asked, admissible or not (None), so each R and
+# each refusal is computed once per process.  An entry holds interned
+# factors only, about 0.9 KB.
+@functools.cache
+def _r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial | None:
     if not validate(W).admissible:
-        if len(_REJECTED) >= _REJECTED_MAX:
-            del _REJECTED[next(iter(_REJECTED))]
-        _REJECTED[key] = None
-        raise StructuralError(f"diagram not admissible: {W}")
+        return None
     n = W.n
     row_of = {p: i for i, p in enumerate(W.props, start=1)}
     seen: dict[PoleFactor, int] = {}
@@ -221,8 +211,7 @@ def _factor_keys(poly: Polynomial) -> frozenset[PoleFactor]:
     return frozenset(out)
 
 
-# Bounded, with room for every pattern of a (4, 9) sweep (2,464 of them).
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _pattern_factor_keys(pattern: tuple[int, ...]) -> frozenset[PoleFactor] | None:
     """Factor keys of the square minor whose row r is supported on the
     column mask ``pattern[r-1]`` within 1..k, or None if it vanishes."""
@@ -239,8 +228,11 @@ def _minor_factor_keys(row_masks: Sequence[int], cols: int) -> frozenset[PoleFac
     return _restricted_factor_keys(tuple([r & cols for r in row_masks]), cols)
 
 
-# Bounded: room for the 2,514 distinct keys of the (3, 9) front half; the
-# (4, 9) one has 9,813 and cycles through it.
+# The one hand-sized memo: its keys are restricted supports, whose number
+# grows fastest with n.  Front halves unbounded against this bound, two
+# pairs at (4, 10) and one at (5, 10): 6.4-6.9 s against 7.4 s for 9 MB
+# more VmHWM (71 against 62 MB), and 18.7 s against 17.7 s for 37 MB
+# more (144 against 107 MB).
 @functools.lru_cache(maxsize=4096)
 def _restricted_factor_keys(rows: tuple[int, ...], cols: int) -> frozenset[PoleFactor] | None:
     """:func:`_minor_factor_keys` of supports already inside ``cols``.
@@ -482,9 +474,7 @@ def limit_supports(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[frozenset[int],
     return tuple(map(set_of, limit_masks(W, f)))
 
 
-# Small: callers take the codimension of a diagram's factors one after
-# another, so a few recent diagrams' tables (2^k entries each) suffice.
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _diagram_tables(W: WilsonLoopDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     unions, widest = subfamily_tables(W.masks)
     return tuple(unions), tuple(widest)

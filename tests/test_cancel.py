@@ -529,6 +529,15 @@ def test_weight_sum_fails_on_recorded_triple_weights():
     assert dict(bad.checks)["weight_sum_zero"] is False
 
 
+@pytest.mark.parametrize("weight", ["minus one", "1/0"])
+def test_malformed_pair_weight_fails_weight_sum_without_raising(weight):
+    g = partners(W42, pole_var(1, 3))
+    members = (g.members[0], dataclasses.replace(g.members[1], weight=weight))
+    bad = verify_group(dataclasses.replace(g, members=members), trials=3, seed=1)
+    assert [name for name, ok in bad.checks if not ok] == ["weight_sum_zero"]
+    assert bad.failures == ("weights do not sum to zero",) and not bad.verified
+
+
 def test_verify_narrow_triple():
     g = verify_group(partners(W3B, pole_quad(1, 2, 1, 2)), trials=3, seed=1)
     assert g.verified and {n for n, _ in g.checks} == TRIPLE_CHECKS

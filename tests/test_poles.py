@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import wlpoles.cancel
 import wlpoles.diagrams
 import wlpoles.matroids
 import wlpoles.poles
@@ -124,21 +125,15 @@ def test_r_poly_rejects_inadmissible():
     assert r_poly_edge(twin).factor_set() == r_poly_edge(W42).factor_set()
 
 
-def test_rejected_diagrams_are_validated_once_and_the_memo_is_bounded(monkeypatch):
+def test_rejected_diagrams_are_validated_once(monkeypatch):
     calls = []
     check = wlpoles.poles.validate
     monkeypatch.setattr(wlpoles.poles, "validate", lambda W: calls.append(W) or check(W))
-    monkeypatch.setattr(wlpoles.poles, "_REJECTED", {})
-    monkeypatch.setattr(wlpoles.poles, "_REJECTED_MAX", 2)
+    wlpoles.poles._r_poly_edge.cache_clear()
     crossing = [WilsonLoopDiagram(8, (Propagator.of(1, 3), Propagator.of(2, e))) for e in (4, 5, 6)]
-    for W in crossing[:1] * 3:
-        with pytest.raises(StructuralError):
+    for W in crossing[:1] * 3 + crossing * 2:
+        with pytest.raises(StructuralError, match="diagram not admissible"):
             r_poly_edge(W)
-    assert calls == crossing[:1]
-    for W in crossing:
-        with pytest.raises(StructuralError):
-            r_poly_edge(W)
-    assert list(wlpoles.poles._REJECTED) == [(W.n, W.props) for W in crossing[1:]]  # the oldest dropped
     assert calls == crossing
 
 
@@ -395,14 +390,51 @@ def test_pattern_memo_holds_seven_patterns_at_k2():
     assert _pattern_factor_keys.cache_info().currsize == 7
 
 
+# Every memo keyed by a diagram, a (diagram, factor) pair or a pattern,
+# each cleared together so that no fact is carried over from another test.
+PER_DIAGRAM_MEMOS = (
+    wlpoles.diagrams._interned,
+    wlpoles.poles._r_poly_edge,
+    wlpoles.poles._diagram_tables,
+    wlpoles.poles._restricted_factor_keys,
+    _pattern_factor_keys,
+    wlpoles.cancel._through,
+    classify,
+    wlpoles.cancel._triple,
+)
+
+
+def _clear_memos():
+    for memo in PER_DIAGRAM_MEMOS:
+        memo.cache_clear()
+
+
+def _front_half(order):
+    """The calls of the front half (bench/front_half.py) over ``order``;
+    returns the members of the groups built."""
+    members = []
+    for W in order:
+        assert check_r_equalities(W).ok
+        for f in r_poly_edge(W).factors:
+            tag = classify(W, f)
+            if factor_codim(W, f) != CODIM_ONE or tag in (CASE1A, CASE3A):
+                continue
+            try:
+                members += partners(W, f).members
+            except (InconsistencyError, StructuralError):
+                pass  # the k = 3 partner gaps
+    return members
+
+
 def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
     """The front-half calls over every (3, 8) diagram, partners included,
     compute R once per diagram, whatever the visit order.  A partner move
-    that leaves the admissible diagrams is an R miss that raises; the
-    refusal is kept in the bounded ``_REJECTED`` memo, so each rejected
-    diagram is validated once: 300 admissible diagrams and 96 rejected
-    partners.  After enumeration, ``validate`` runs only inside R misses,
-    so a partner's R is its only admissibility check."""
+    that leaves the admissible diagrams is an R miss that caches the
+    refusal, so each rejected diagram is validated once: 396 calls, for
+    300 admissible diagrams and 96 rejected partners.  After enumeration,
+    ``validate`` runs only inside R misses, so a partner's R is its only
+    admissibility check."""
+    _clear_memos()
     order = enumerate_diagrams(3, 8)
     random.Random(5).shuffle(order)
     check = wlpoles.diagrams.validate
@@ -417,27 +449,11 @@ def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
 
     monkeypatch.setattr(wlpoles.diagrams, "validate", counted)
     monkeypatch.setattr(wlpoles.poles, "validate", counted)
-    r_poly_edge.cache_clear()
-    wlpoles.poles._REJECTED.clear()
-    try:
-        for W in order:
-            assert check_r_equalities(W).ok
-            for f in r_poly_edge(W).factors:
-                tag = classify(W, f)
-                if factor_codim(W, f) != CODIM_ONE or tag in (CASE1A, CASE3A):
-                    continue
-                try:
-                    partners(W, f)
-                except (InconsistencyError, StructuralError):
-                    pass  # the k = 3 partner gaps
-        info = r_poly_edge.cache_info()
-    finally:
-        r_poly_edge.cache_clear()
-    assert callers == Counter({"r_poly_edge": 396})
-    assert info.currsize == verdicts[True] == len(order) == 300
-    # 192 raising misses reach 96 distinct rejected partner diagrams
-    assert verdicts[False] == len(wlpoles.poles._REJECTED) == 96
-    assert info.misses == 492
+    _front_half(order)
+    info = wlpoles.poles._r_poly_edge.cache_info()
+    assert callers == Counter({"_r_poly_edge": 396})
+    assert verdicts == Counter({True: 300, False: 96})
+    assert info.misses == info.currsize == 396
 
 
 def test_front_half_builds_each_diagram_once_and_moves_land_on_enumerated_ones(monkeypatch):
@@ -453,32 +469,31 @@ def test_front_half_builds_each_diagram_once_and_moves_land_on_enumerated_ones(m
         built[W] += 1
 
     monkeypatch.setattr(WilsonLoopDiagram, "__post_init__", counted)
-    wlpoles.diagrams._interned.cache_clear()
-    r_poly_edge.cache_clear()
-    wlpoles.poles._REJECTED.clear()
+    _clear_memos()
     order = enumerate_diagrams(3, 9)
     enumerated = {W: W for W in order}
     random.Random(7).shuffle(order)
-    members = 0
-    try:
-        for W in order:
-            assert check_r_equalities(W).ok
-            for f in r_poly_edge(W).factors:
-                tag = classify(W, f)
-                if factor_codim(W, f) != CODIM_ONE or tag in (CASE1A, CASE3A):
-                    continue
-                try:
-                    g = partners(W, f)
-                except (InconsistencyError, StructuralError):
-                    continue  # the k = 3 partner gaps
-                for m in g.members:
-                    assert enumerated[m.diagram] is m.diagram
-                    members += 1
-    finally:
-        r_poly_edge.cache_clear()
+    members = _front_half(order)
+    assert members and all(enumerated[m.diagram] is m.diagram for m in members)
     assert sum(built.values()) == len(built) == 1005
-    assert len(built) - len(enumerated) == len(wlpoles.poles._REJECTED) == 180
-    assert members > 0
+    assert len(built) - len(enumerated) == 180
+
+
+def test_front_half_computes_each_fact_once():
+    """Over the (3, 9) front-half calls no memo computes a key twice:
+    ``classify`` misses once per distinct (diagram, factor), 8,595 times
+    in 21,330 calls, and R once per diagram object, 1,005 times.  The one
+    repeat is a raise, which no memo keeps: the 360 partner gaps, each a
+    ``_triple`` call whose move lands on a refused diagram."""
+    _clear_memos()
+    _front_half(enumerate_diagrams(3, 9))
+    for memo in PER_DIAGRAM_MEMOS:
+        info = memo.cache_info()
+        gaps = 360 if memo is wlpoles.cancel._triple else 0
+        assert info.misses - info.currsize == gaps, memo.__wrapped__.__qualname__
+    info = classify.cache_info()
+    assert (info.misses, info.hits + info.misses) == (8595, 21330)
+    assert wlpoles.poles._r_poly_edge.cache_info().misses == 1005
 
 
 def test_factor_stores_the_hash_of_its_identity_and_its_label():
@@ -525,7 +540,7 @@ def test_r_polynomial_equality_ignores_factor_set():
 def test_r_value_fits_its_memo_budget():
     """A computed R at (3, 8), factor set built, holds interned factors only:
     about 0.9 KB, against about 3 KB with a fresh copy of every factor."""
-    compute = r_poly_edge.__wrapped__
+    compute = wlpoles.poles._r_poly_edge.__wrapped__
     diagrams = enumerate_diagrams(3, 8)
     for W in diagrams:  # the interned factors exist before measuring
         compute(W).factor_set()
