@@ -13,8 +13,10 @@ four ways: equality of the limit matroids (bases and both necklaces), the
 recorded weights summing to zero, one exact row-space certificate that
 every member meets every other member's own limit point, and, for pairs,
 an exact sign identity under localization on twistor data.
-Limit matroids are transversal, one per distinct limit set system of a
-group (:func:`poles.limit_matroid`).  A meet whose rows are a single entry's
+Each member's limit is one :class:`poles.Limit`, built once per
+verification; its limit matroid is transversal, or the max-rank pair of
+a quadratic's two systems, one per distinct key in a group
+(:func:`poles.limit_matroid`).  A meet whose rows are a single entry's
 own generic rows reads its rank from that entry's limit matroid; every
 other meet takes an exact rank at one integer point (:func:`_meet`).
 Localized rows are computed once per (propagator, sample), in one
@@ -43,22 +45,20 @@ from .diagrams import (
 from .errors import InconsistencyError, StructuralError
 from .exact import Polynomial, VarId, mat_rank, poly_det, replacement_dets, specialize
 from .jsonout import dumps
-from .matroids import Matroid, set_of
+from .matroids import set_of
 from .poles import (
     CODIM_GE2,
     PoleFactor,
     check_r_equalities,
     factor_codim,
+    limit,
     limit_matroid,
-    limit_rows,
-    limit_supports,
-    limit_systems,
     pole_quad,
     pole_var,
     quad_geometry,
     r_poly_edge,
 )
-from .positroids import CellDescriptor, is_minimal, necklace_entries, necklace_masks
+from .positroids import CellDescriptor, first_violation, necklace_entries, necklace_masks
 from .sampling import TwistorData, seeded_rng, twistor_data
 
 CASE1 = "1"
@@ -400,45 +400,13 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
 # verification
 
 
-def _member_limit(m: GroupMember) -> tuple[tuple, tuple[frozenset[int], ...], list[dict]]:
-    """A member's limit set systems (:func:`limit_systems`) as a key of
-    sorted mask tuples, its :func:`limit_supports` and the symbolic limit
-    rows :func:`_meet` reads (generic on those supports, or a quadratic's
-    :func:`limit_rows`).  Its limit matroid is built from the key, once
-    per group (:func:`limit_matroid`).  A single entry's one limit
-    system is its :func:`limit_masks`, so its supports are read from the
-    key's system."""
-    W, f = m.diagram, m.factor
-    systems = limit_systems(W, f)
-    key = tuple(sorted(tuple(sorted(s)) for s in systems))
-    if f.kind == "var":
-        supports = tuple(map(set_of, systems[0]))
-        generic = [{c: Polynomial.variable(VarId(r, c)) for c in V} for r, V in enumerate(supports, 1)]
-        return key, supports, generic
-    e, near, far, _, _ = quad_geometry(W, f)
-    lam = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
-    return key, limit_supports(W, f), lam
-
-
-def _cell(M: Matroid) -> tuple[frozenset[int], tuple[int, ...], tuple[int, ...]]:
-    """Basis masks, necklace and reverse necklace of a limit matroid, as
-    masks walked over its one basis set (:func:`necklace_masks`)."""
-    forward, reverse = necklace_masks(M)
-    return M.basis_masks(), tuple(forward), tuple(reverse)
-
-
-def _limit_cells(limits: list[tuple], matroids: dict[tuple, Matroid]) -> list[tuple]:
-    """:func:`_cell` of each member's limit matroid, computed once per
-    distinct key of limit set systems in the group (the two members of a
-    pair share one), from the group's one matroid per key."""
-    shared = {key: _cell(M) for key, M in matroids.items()}
-    return [shared[key] for key, _, _ in limits]
-
-
-def _group_base(g: CancellationGroup) -> GroupMember:
+def _group_base(g: CancellationGroup) -> GroupMember | None:
+    """The member whose limit describes the group's boundary: the first
+    of a pair or wide triple, a narrow triple's quadratic, or None for a
+    narrow group without one."""
     if g.kind in ("pair", "wide"):
         return g.members[0]
-    return next(m for m in g.members if m.factor.kind == "quad")
+    return next((m for m in g.members if m.factor.kind == "quad"), None)
 
 
 def _within(rows: list[dict[int, Polynomial]], support: frozenset[int]) -> dict[int, Polynomial]:
@@ -470,11 +438,11 @@ def _within(rows: list[dict[int, Polynomial]], support: frozenset[int]) -> dict[
 def _meet(g: CancellationGroup, limits, ranks: dict[tuple, int], n: int, k: int, seed: int) -> None:
     """Every member meets the limit point of every other member.
 
-    The limit point of a member a is its own symbolic limit rows.
-    Another member b meets it when, for each propagator x of b, the
-    point's row space holds a row vanishing off x's support
-    (:func:`_within`), b's factor vanishes on those rows as a
-    polynomial identity, and the rows have generic rank k.  The same
+    The limit point of a member a is its own symbolic limit rows
+    (:meth:`poles.Limit.rows`).  Another member b meets it when, for
+    each propagator x of b, the point's row space holds a row vanishing
+    off x's support (:func:`_within`), b's factor vanishes on those rows
+    as a polynomial identity, and the rows have generic rank k.  The same
     rule serves every kind of group; each (point, support) row is
     computed once.
 
@@ -482,14 +450,15 @@ def _meet(g: CancellationGroup, limits, ranks: dict[tuple, int], n: int, k: int,
     rows, each used once, their entries are distinct indeterminates, so
     their generic rank is the transversal rank of a's limit set system
     (Edmonds, "Systems of distinct representatives and linear algebra"):
-    the rank of a's limit matroid, ``ranks[key]``, which ``limit_rank``
+    the rank of a's limit matroid, ``ranks[lim.key]``, which ``limit_rank``
     has read.  Otherwise the rank is taken at one integer point, which
     proves generic rank k, because rank only drops under
     specialization; that point's draws come from a stream seeded per
     group, made on first use.
     """
     rng = None
-    for a, (key, _, rows_a) in zip(g.members, limits):
+    for a, lim in zip(g.members, limits):
+        rows_a = lim.rows()
         own = sorted(map(id, rows_a)) if a.factor.kind == "var" else None
         found: dict[Propagator, dict[int, Polynomial]] = {}
         point: dict[VarId, int] = {}
@@ -504,7 +473,7 @@ def _meet(g: CancellationGroup, limits, ranks: dict[tuple, int], n: int, k: int,
             if not poly_det([[grid[r - 1].get(c, Polynomial()) for c in f.cols] for r in f.rows]).is_zero():
                 raise InconsistencyError(f"{f.label()} of {W} does not vanish at the limit of {a.token()}")
             if own is not None and sorted(map(id, grid)) == own:
-                rank = ranks[key]
+                rank = ranks[lim.key]
             else:
                 rng = rng or seeded_rng(seed, "rowspace", "|".join(g.key()))
                 rank = mat_rank(specialize(grid, n, point, rng))
@@ -535,11 +504,12 @@ def _unverified(g: CancellationGroup, failure: str) -> CancellationGroup:
 def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> CancellationGroup:
     """Run all certificates on a group and return it annotated.
 
-    Checks: the limit matroids of all members agree (bases, necklace,
-    reverse necklace, computed once per distinct limit set system by
-    :func:`_limit_cells`; pairs also literally share limit supports), the
-    base member's limit supports pass the minimality rule of
-    ``factor_codim`` (a boundary cell of dimension 3k-1), the weights
+    Each member's :func:`poles.limit` is built once.  Checks: the limit
+    matroids of all members agree (bases, necklace, reverse necklace,
+    one matroid and one cell per distinct key of limit set systems; pairs
+    also literally share limit supports), the base member's limit set
+    system passes the minimality rule of ``factor_codim`` (a boundary
+    cell of dimension 3k-1), the weights
     the group records sum to zero (a triple's as numerators over 1-e,
     every member's weight known), every member meets every other
     member's own limit point (:func:`_meet`, exact and run once, with
@@ -551,8 +521,10 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     (:func:`_localized_row`).
     ``trials`` counts only those sign samples, ``max(3, trials)`` of them.
     A pair not of two members fails both pair checks instead of raising.
-    A group with no members, or with members on different (k, n), comes
-    back unverified with one failure and no checks.
+    A group with no members, with members on different (k, n), with a
+    member whose diagram is inadmissible or whose factor is not one of
+    its R's, or a narrow group without a quadratic, comes back unverified
+    with one failure and no checks.
 
     ``boundary`` describes the base member's limit.  For a wide triple
     its ``rows`` are the base quadratic's display supports, not the
@@ -566,21 +538,27 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     n = g.members[0].diagram.n
     if any(m.diagram.k != k or m.diagram.n != n for m in g.members):
         return _unverified(g, "group members live on different ground data")
+    base_member = _group_base(g)
+    if base_member is None:
+        return _unverified(g, f"{g.kind} group has no quadratic member")
+    try:
+        limits = [limit(m.diagram, m.factor) for m in g.members]
+    except StructuralError as exc:  # an inadmissible diagram, or a factor not of its R
+        return _unverified(g, f"member has no limit: {exc}")
+    base = limits[g.members.index(base_member)]
     checks: list[tuple[str, bool]] = []
     failures: list[str] = []
 
-    limits = [_member_limit(m) for m in g.members]
-    matroids = {key: limit_matroid(n, key) for key in {key for key, _, _ in limits}}
+    matroids = {key: limit_matroid(n, key) for key in {lim.key for lim in limits}}
     ranks = {key: min(M.basis_masks()).bit_count() for key, M in matroids.items()}
     rank_ok = all(r == k for r in ranks.values())
     checks.append(("limit_rank", rank_ok))
     bases_ok = neck_ok = rev_ok = False
     if rank_ok:
-        cells = _limit_cells(limits, matroids)
-        bases0, neck0, rev0 = cells[0]
-        bases_ok = all(bases == bases0 for bases, _, _ in cells)
-        neck_ok = all(neck == neck0 for _, neck, _ in cells)
-        rev_ok = all(rev == rev0 for _, _, rev in cells)
+        # bases and both necklaces, once per distinct key
+        cells = {key: (M.basis_masks(), *necklace_masks(M)) for key, M in matroids.items()}
+        first = cells[limits[0].key]
+        bases_ok, neck_ok, rev_ok = (all(c[i] == first[i] for c in cells.values()) for i in range(3))
     checks.append(("boundary_bases_equal", bases_ok))
     checks.append(("boundary_necklace_equal", neck_ok))
     checks.append(("boundary_reverse_equal", rev_ok))
@@ -589,7 +567,7 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
 
     two = len(g.members) == 2
     if g.kind == "pair":
-        sup_ok = two and sorted(limits[0][1], key=sorted) == sorted(limits[1][1], key=sorted)
+        sup_ok = two and sorted(limits[0].masks) == sorted(limits[1].masks)
         checks.append(("limit_supports_equal", sup_ok))
         if not two:
             failures.append(f"pair needs two members, has {len(g.members)}")
@@ -599,14 +577,13 @@ def verify_group(g: CancellationGroup, trials: int = 10, seed: int = 0) -> Cance
     boundary = None
     dim_ok = False
     if rank_ok:
-        # the codimension rule of factor_codim, on the base member's supports
-        base_index = g.members.index(_group_base(g))
-        dim_ok = is_minimal(limits[base_index][1], n).minimal
-        _, neck, rev = cells[base_index]
+        # the codimension rule of factor_codim, on the base member's limit
+        dim_ok = first_violation(base.masks) is None
+        _, neck, rev = cells[base.key]
         boundary = CellDescriptor(
             k=k,
             n=n,
-            rows=limits[base_index][1],
+            rows=tuple(map(set_of, base.masks)),
             necklace=tuple(necklace_entries(neck)),
             reverse_necklace=tuple(necklace_entries(rev)),
             dimension=3 * k - 1 if dim_ok else None,

@@ -289,7 +289,7 @@ class TransversalMatroid(Matroid):
 class MaxRankMatroid(Matroid):
     """rank(S) = max(rank_1(S), rank_2(S)) over two matroids on one ground
     set: a matroid for the two transversal systems of a vanishing quadratic
-    (:func:`wlpoles.poles.limit_systems`), not for every pair.  The parts
+    (:attr:`wlpoles.poles.Limit.systems`), not for every pair.  The parts
     are asked uncached, since this oracle caches its own answers."""
 
     def __init__(self, first: Matroid, second: Matroid):

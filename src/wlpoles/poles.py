@@ -9,12 +9,14 @@ necklace minor depends only on the row supports restricted to its
 columns, so minors are factored once per support pattern and the
 factors mapped back to the columns.  The module also classifies each
 factor's vanishing locus by codimension, with one rule for single
-entries and quadratics alike: codimension one iff the factor's limit
-set system (:func:`limit_masks`) is minimal (checked against the case
-tags on all 39,770 factors at k <= 4, n <= 9).  The pole-free boundaries
-of a cell are the covers of its bounded affine permutation that no
-factor's exact limit matroid (:func:`limit_matroid`) lands on
-(:func:`cover_factors`).
+entries and quadratics alike.  Where a factor vanishes is one value,
+its :class:`Limit` (:func:`limit`): its display set system, the set
+systems of its exact limit matroid and its symbolic rows are all read
+from it.  A factor has codimension one iff its display system is
+minimal (checked against the case tags on all 39,770 factors at
+k <= 4, n <= 9).  The pole-free boundaries of a cell are the covers of
+its bounded affine permutation that no factor's exact limit matroid
+(:func:`limit_matroid`) lands on (:func:`cover_factors`).
 """
 
 from __future__ import annotations
@@ -362,26 +364,6 @@ def check_r_equalities(W: WilsonLoopDiagram) -> REqualityReport:
     )
 
 
-def limit_rows(
-    supports: Sequence[frozenset[int]], n: int, p_row: int, q_row: int, e: int
-) -> list[dict[int, Polynomial]]:
-    """Symbolic rows after the quadratic on (p_row, q_row) columns (e, e+1)
-    degenerates: row q becomes proportional to row p there, via a fresh
-    scale variable carried in the reserved column index -1."""
-    lam = Polynomial.variable(VarId(q_row, -1))
-    rows: list[dict[int, Polynomial]] = []
-    pair_cols = {e, cyc(e + 1, n)}
-    for r0, V in enumerate(supports, start=1):
-        row: dict[int, Polynomial] = {}
-        for c in sorted(V):
-            if r0 == q_row and c in pair_cols:
-                row[c] = lam * Polynomial.variable(VarId(p_row, c))
-            else:
-                row[c] = Polynomial.variable(VarId(r0, c))
-        rows.append(row)
-    return rows
-
-
 def quad_geometry(
     W: WilsonLoopDiagram, f: PoleFactor
 ) -> tuple[int, Propagator, Propagator, int, int]:
@@ -408,70 +390,92 @@ def quad_geometry(
     return e, near, far_p, j_far, k_far
 
 
-def _vanishing(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, int, int]:
-    """Rows p and q, from 0, and the column mask C of a factor of R(W): a
-    quadratic on edge e has its near row p, far row q and C = {e, e+1},
-    and a single entry x[p, v] is the case q = p, C = {v}."""
+# Not frozen: a frozen __init__ costs 0.5 us more, and factor_codim builds
+# one Limit for each of the 8,595 factors at (3,9).
+@dataclass
+class Limit:
+    """Where a factor of R(W) vanishes: rows p and q, from 0, and the
+    column mask C.  A quadratic on edge e has its near row p, far row q
+    and C = {e, e+1}; a single entry x[p, v] is the case q = p, C = {v}.
+    Built by :func:`limit`; ``masks``, ``systems`` and ``key`` are each
+    computed once, on first use, and die with the value.
+
+    ``masks`` is the display system: row q becomes (V_p u V_q) - C.
+    :func:`factor_codim` calls the factor codimension one iff it is
+    minimal, a rule checked against the case tags at k <= 4, n <= 9.
+
+    ``systems`` are the limit matroid's set systems: T1, W's masks with C
+    taken from row p, and T2, with C taken from row q; one system when
+    q = p, and then it is ``masks``.  The limit matroid has
+    rank(S) = max(rank_T1(S), rank_T2(S)).  Why, for a quadratic Q: Q is
+    irreducible, so a k-subset S stops being a basis iff Q divides the
+    minor D_S.  Expand D_S along rows p and q as a sum over column pairs T
+    of m_T B_T.  The 2x2 minors m_T with T != {e, e+1} are bilinear in
+    monomials no other m_T uses, so they are linearly independent of Q
+    over the other variables: Q | D_S iff every matching of S sends
+    {p, q} onto {e, e+1}, iff S is a basis of neither system.  A smaller
+    minor holding only one of p and q is not divisible by Q, so lower
+    ranks follow the same rule.  Tests check it against the symbolic
+    :meth:`rows` on all subsets at (2,6), (2,7) and (3,7), and on the
+    bases at (3,8), for every quadratic.
+    """
+
+    W: WilsonLoopDiagram
+    p: int
+    q: int
+    C: int
+
+    @functools.cached_property
+    def masks(self) -> tuple[int, ...]:
+        masks = list(self.W.masks)
+        masks[self.q] = (masks[self.p] | masks[self.q]) & ~self.C
+        return tuple(masks)
+
+    @functools.cached_property
+    def systems(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(m & ~self.C if i == row else m for i, m in enumerate(self.W.masks))
+            for row in dict.fromkeys((self.p, self.q))
+        )
+
+    @functools.cached_property
+    def key(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted :attr:`systems`, which name the limit matroid."""
+        return tuple(sorted(tuple(sorted(s)) for s in self.systems))
+
+    def rows(self) -> list[dict[int, Polynomial]]:
+        """Symbolic rows at the limit, generic on W's supports except on
+        row q in C: a single entry's row loses C, and a quadratic's far row
+        turns proportional to row p there, by a fresh scale variable kept
+        in the reserved column index -1."""
+        lam = Polynomial.variable(VarId(self.q + 1, -1))
+        rows: list[dict[int, Polynomial]] = []
+        for r, mask in enumerate(self.W.masks):
+            row: dict[int, Polynomial] = {}
+            for c in sorted(set_of(mask)):
+                if r != self.q or not self.C >> (c - 1) & 1:
+                    row[c] = Polynomial.variable(VarId(r + 1, c))
+                elif self.p != self.q:
+                    row[c] = lam * Polynomial.variable(VarId(self.p + 1, c))
+            rows.append(row)
+        return rows
+
+
+def limit(W: WilsonLoopDiagram, f: PoleFactor) -> Limit:
+    """The :class:`Limit` of a factor of R(W); raises if f is not one."""
     if f not in r_poly_edge(W).factor_set():
         raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
     if f.kind == "var":
-        return f.rows[0] - 1, f.rows[0] - 1, 1 << (f.cols[0] - 1)
+        return Limit(W, f.rows[0] - 1, f.rows[0] - 1, 1 << (f.cols[0] - 1))
     e, near, far, _, _ = quad_geometry(W, f)
-    return W.props.index(near), W.props.index(far), 1 << (e - 1) | 1 << (cyc(e + 1, W.n) - 1)
-
-
-def limit_masks(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, ...]:
-    """Row masks of the set system the factor's vanishing locus lands on:
-    row q becomes (V_p u V_q) - C (:func:`_vanishing`).  For a quadratic,
-    whose far row turns proportional to the near row on {e, e+1}, this is
-    the display system; its limit matroid is :func:`limit_systems`'.
-    :func:`factor_codim` calls the factor codimension one iff this system
-    is minimal, a rule checked against the case tags at k <= 4, n <= 9.
-    """
-    return _limit(W, f)[0]
-
-
-def _limit(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[tuple[int, ...], int]:
-    """:func:`limit_masks` and the one row q that differs from W's."""
-    p, q, cols = _vanishing(W, f)
-    masks = list(W.masks)
-    masks[q] = (masks[p] | masks[q]) & ~cols
-    return tuple(masks), q
-
-
-def limit_systems(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[tuple[int, ...], ...]:
-    """The factor's limit set systems: T1, W's masks with C taken from row
-    p, and T2, with C taken from row q (:func:`_vanishing`); one system
-    when q = p.  The limit matroid has rank(S) = max(rank_T1(S), rank_T2(S)).
-
-    Why, for a quadratic Q: Q is irreducible, so a k-subset S stops being
-    a basis iff Q divides the minor D_S.  Expand D_S along rows p and q as
-    a sum over column pairs T of m_T B_T.  The 2x2 minors m_T with
-    T != {e, e+1} are bilinear in monomials no other m_T uses, so they are
-    linearly independent of Q over the other variables: Q | D_S iff every
-    matching of S sends {p, q} onto {e, e+1}, iff S is a basis of neither
-    system.  A smaller minor holding only one of p and q is not divisible
-    by Q, so lower ranks follow the same rule.  Tests check it against the
-    symbolic :func:`limit_rows` on all subsets at (2,6), (2,7) and (3,7),
-    and on the bases at (3,8), for every quadratic.
-    """
-    p, q, cols = _vanishing(W, f)
-    return tuple(
-        tuple(m & ~cols if i == row else m for i, m in enumerate(W.masks))
-        for row in dict.fromkeys((p, q))
-    )
+    return Limit(W, W.props.index(near), W.props.index(far), 1 << (e - 1) | 1 << (cyc(e + 1, W.n) - 1))
 
 
 def limit_matroid(n: int, systems: Sequence[Sequence[int]]) -> Matroid:
-    """The limit matroid of a factor's :func:`limit_systems`: one system's
+    """The limit matroid of a factor's :attr:`Limit.systems`: one system's
     transversal matroid, or the max-rank pair of a quadratic's two."""
     parts = [TransversalMatroid.of_masks(n, s) for s in systems]
     return parts[0] if len(parts) == 1 else MaxRankMatroid(*parts)
-
-
-def limit_supports(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[frozenset[int], ...]:
-    """The rows of :func:`limit_masks` as vertex sets."""
-    return tuple(map(set_of, limit_masks(W, f)))
 
 
 @functools.cache
@@ -484,7 +488,7 @@ def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     """Codimension of the factor's vanishing locus inside the cell closure.
 
     One rule for both kinds: codimension one iff the factor's limit set
-    system (:func:`limit_masks`) is minimal, that is has no subset
+    system (:attr:`Limit.masks`) is minimal, that is has no subset
     violation (:func:`positroids.first_violation`, the core of
     :func:`is_minimal`), else codimension >= 2.  On every factor
     at k <= 4, n <= 9 (39,770 of them) this gives codimension >= 2
@@ -495,9 +499,9 @@ def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     density is exactly the subset inequality.  So only the subfamilies
     through q are tested, on W's own tables.
     """
-    masks, q = _limit(W, f)
-    known = (q, *_diagram_tables(W))
-    return CODIM_ONE if first_violation(masks, known) is None else CODIM_GE2
+    lim = limit(W, f)
+    known = (lim.q, *_diagram_tables(W))
+    return CODIM_ONE if first_violation(lim.masks, known) is None else CODIM_GE2
 
 
 @dataclass(frozen=True)
@@ -583,8 +587,8 @@ def cover_factors(
     for f in r_poly_edge(W).factors:
         if factor_codim(W, f) != CODIM_ONE:
             continue
-        limit = limit_matroid(W.n, limit_systems(W, f))
-        g = affine_permutation(necklace_masks(limit)[0], W.n)
+        M_f = limit_matroid(W.n, limit(W, f).systems)
+        g = affine_permutation(necklace_masks(M_f)[0], W.n)
         if g not in hits:
             raise InconsistencyError(f"the limit of {f.label()} on {W} is not a cover of its cell")
         hits[g].append(f)

@@ -3,8 +3,8 @@
 ``MatrixMatroid`` ranks a matrix of polynomial entries one exact symbolic
 minor at a time.  The library reads a vanishing quadratic's limit matroid
 as the max-rank pair of two transversal systems
-(``wlpoles.poles.limit_systems``); this oracle ranks the symbolic limit
-rows (``wlpoles.poles.limit_rows``) directly, so the tests can hold the
+(``wlpoles.poles.Limit.systems``); this oracle ranks the symbolic limit
+rows (``wlpoles.poles.Limit.rows``) directly, so the tests can hold the
 rule to it.
 """
 

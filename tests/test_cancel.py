@@ -37,8 +37,7 @@ from wlpoles.poles import (
     CODIM_GE2,
     CODIM_ONE,
     factor_codim,
-    limit_supports,
-    limit_systems,
+    limit,
     pole_quad,
     pole_var,
     r_poly_edge,
@@ -430,14 +429,15 @@ def test_singular_support_block_raises_and_memoizes_nothing(data):
 
 def test_limit_cell_computed_once_per_pair(monkeypatch):
     """The two members of a pair share one limit set system, so its
-    matroid and cell (bases and both necklaces) are built once; a triple
-    builds one per distinct key of limit set systems, a quadratic's pair
-    of systems keyed like a single entry's one.  Each system of a key gets
-    one matroid (``TransversalMatroid._set_rows``), and the cell and the
-    rank check read its basis masks, so no Hall table is built."""
+    matroid and cell (bases and both necklaces, one ``necklace_masks``
+    walk) are built once; a triple builds one per distinct key of limit
+    set systems, a quadratic's pair of systems keyed like a single entry's
+    one.  Each system of a key gets one matroid
+    (``TransversalMatroid._set_rows``), and the cell and the rank check
+    read its basis masks, so no Hall table is built."""
     calls = []
-    cell = wlpoles.cancel._cell
-    monkeypatch.setattr(wlpoles.cancel, "_cell", lambda M: calls.append(M) or cell(M))
+    walk = wlpoles.cancel.necklace_masks
+    monkeypatch.setattr(wlpoles.cancel, "necklace_masks", lambda M: calls.append(M) or walk(M))
     tables = []
     set_rows = TransversalMatroid._set_rows
     monkeypatch.setattr(
@@ -454,10 +454,7 @@ def test_limit_cell_computed_once_per_pair(monkeypatch):
         calls.clear()
         tables.clear()
         assert verify_group(g, trials=3, seed=0) == g
-        systems = {
-            frozenset(frozenset(s) for s in limit_systems(m.diagram, m.factor))
-            for m in g.members
-        }
+        systems = {limit(m.diagram, m.factor).key for m in g.members}
         assert len(calls) == len(systems)
         assert len(tables) == sum(len(key) for key in systems)
         assert not hall
@@ -473,7 +470,7 @@ def test_pair_cell_checks_fail_on_a_shifted_vertex():
     W2, f2 = second.diagram, second.factor
     other = next(c for c in W2.support(W2.props[f2.rows[0] - 1]) if c != f2.cols[0])
     moved = dataclasses.replace(second, factor=pole_var(f2.rows[0], other))
-    old, new = (limit_supports(W2, f) for f in (f2, moved.factor))
+    old, new = (limit(W2, f).masks for f in (f2, moved.factor))
     assert sum(a != b for a, b in zip(old, new)) == 1
     assert verify_group(g, trials=3, seed=1).verified
     bad = verify_group(dataclasses.replace(g, members=(first, moved)), trials=3, seed=1)
@@ -510,6 +507,32 @@ def test_a_group_across_ground_data_fails_without_raising():
         bad = verify_group(dataclasses.replace(g, members=(g.members[0], stranger)), trials=3, seed=1)
         assert bad.failures == ("group members live on different ground data",)
         assert not bad.verified and bad.checks == () and bad.boundary is None
+
+
+def test_a_member_without_a_limit_fails_without_raising():
+    """A member whose factor is not one of its R's factors, or whose
+    diagram is not admissible, has no limit: the group comes back
+    unverified with one failure naming them, as an empty group does."""
+    W27 = WilsonLoopDiagram(7, (Propagator.of(1, 3), Propagator.of(1, 5)))
+    g = partners(W27, pole_var(1, 3))
+    crossed = WilsonLoopDiagram(7, (Propagator.of(1, 3), Propagator.of(2, 5)))
+    for W, f, why in (
+        (W27, pole_var(1, 7), "factor var:1:7 is not a factor of R(({(1,3),(1,5)},[7]))"),
+        (crossed, pole_var(1, 3), "diagram not admissible: ({(1,3),(2,5)},[7])"),
+    ):
+        stranger = GroupMember(W, f, "-1")
+        bad = verify_group(dataclasses.replace(g, members=(g.members[0], stranger)), trials=3, seed=1)
+        assert bad.failures == (f"member has no limit: {why}",)
+        assert not bad.verified and bad.checks == () and bad.boundary is None
+
+
+def test_a_narrow_group_without_its_quadratic_fails_without_raising():
+    g = partners(WilsonLoopDiagram(7, (Propagator.of(1, 3), Propagator.of(1, 4))), pole_quad(1, 2, 1, 2))
+    assert g.kind == "narrow" and "1-3;1-4/quad:1:2:1:2" in g.key()
+    rest = tuple(m for m in g.members if m.factor.kind != "quad")
+    bad = verify_group(dataclasses.replace(g, members=rest), trials=3, seed=1)
+    assert bad.failures == ("narrow group has no quadratic member",)
+    assert not bad.verified and bad.checks == () and bad.boundary is None
 
 
 def test_verify_wide_triple():

@@ -22,8 +22,7 @@ from wlpoles.matroids import (
     set_of,
     structure,
 )
-from wlpoles.cancel import GroupMember, _member_limit
-from wlpoles.poles import limit_matroid, limit_rows, quad_geometry, r_poly_edge
+from wlpoles.poles import limit, limit_matroid, r_poly_edge
 from wlpoles.positroids import diagram_matroid
 from wlpoles.sampling import seeded_rng
 
@@ -258,10 +257,8 @@ def quadratic_limits(k, n):
     for W in enumerate_diagrams(k, n):
         for f in r_poly_edge(W).factors:
             if f.kind == "quad":
-                e, near, far, _, _ = quad_geometry(W, f)
-                rows = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
-                key, _, _ = _member_limit(GroupMember(W, f, "1"))
-                yield W, f, limit_matroid(W.n, key), MatrixMatroid(W.n, rows)
+                lim = limit(W, f)
+                yield W, f, limit_matroid(W.n, lim.key), MatrixMatroid(W.n, lim.rows())
 
 
 @pytest.mark.parametrize("k, n, count", [(2, 6, 18), (2, 7, 42), (3, 7, 161)])
@@ -293,7 +290,7 @@ def test_basis_masks_match_the_rank_scan(k, n):
     for W in enumerate_diagrams(k, n):
         assert diagram_matroid(W).basis_masks() == Matroid._basis_masks(diagram_matroid(W)), W
         for f in r_poly_edge(W).factors:
-            key, _, _ = _member_limit(GroupMember(W, f, "1"))
+            key = limit(W, f).key
             M = limit_matroid(n, key)
             assert M.basis_masks() == Matroid._basis_masks(limit_matroid(n, key)), (W, f)
             kinds.add(type(M))

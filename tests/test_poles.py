@@ -14,7 +14,8 @@ import wlpoles.poles
 from wlpoles.cancel import CASE1A, CASE3A, classify, partners
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, edge_order, enumerate_diagrams
 from wlpoles.errors import InconsistencyError, StructuralError
-from wlpoles.matroids import TransversalMatroid, mask_of
+from wlpoles.exact import Polynomial, VarId
+from wlpoles.matroids import TransversalMatroid, mask_of, set_of
 from wlpoles.poles import (
     _factor_keys,
     _pattern_factor_keys,
@@ -27,11 +28,8 @@ from wlpoles.poles import (
     check_r_equalities,
     cover_factors,
     factor_codim,
-    limit_masks,
+    limit,
     limit_matroid,
-    limit_rows,
-    limit_supports,
-    limit_systems,
     necklace_radicals,
     pole_quad,
     pole_var,
@@ -137,16 +135,44 @@ def test_rejected_diagrams_are_validated_once(monkeypatch):
     assert calls == crossing
 
 
+def limit_supports(W, f):
+    return tuple(map(set_of, limit(W, f).masks))
+
+
 def test_limit_rows_shape():
-    rows = limit_rows(W42.supports(), 6, 1, 2, 1)
-    # the far row keeps its own far-end entries and borrows scaled near
-    # entries on the shared edge columns
-    assert set(rows[0]) == {1, 2, 3, 4}
-    assert set(rows[1]) == {1, 2, 5, 6}
+    rows = limit(W42, pole_quad(1, 2, 1, 2)).rows()
+    # the far row keeps its own far-end entries and borrows the near row's
+    # entries on the shared edge columns, scaled by its own lambda
+    x = lambda r, c: Polynomial.variable(VarId(r, c))
+    assert rows[0] == {c: x(1, c) for c in (1, 2, 3, 4)}
+    assert rows[1] == {1: x(2, -1) * x(1, 1), 2: x(2, -1) * x(1, 2), 5: x(2, 5), 6: x(2, 6)}
     # its limit supports eliminate the shared edge from the far row; a
     # single entry drops its column from its row
     assert limit_supports(W42, pole_quad(1, 2, 1, 2)) == ({1, 2, 3, 4}, {3, 4, 5, 6})
     assert limit_supports(W42, pole_var(1, 4)) == ({1, 2, 3}, {1, 2, 5, 6})
+    assert set(limit(W42, pole_var(1, 4)).rows()[0]) == {1, 2, 3}
+
+
+def test_limit_resolves_its_factor_once(monkeypatch):
+    """A quadratic's limit reads its geometry once, whatever is derived
+    from it; a single entry's reads none.  Its rows p and q are 0-based."""
+    calls = []
+    geometry = wlpoles.poles.quad_geometry
+    monkeypatch.setattr(wlpoles.poles, "quad_geometry", lambda W, f: calls.append(f) or geometry(W, f))
+    quad, single = limit(W42, pole_quad(1, 2, 1, 2)), limit(W42, pole_var(1, 4))
+    for lim in (quad, single):
+        lim.masks, lim.systems, lim.key, lim.rows()
+    assert calls == [pole_quad(1, 2, 1, 2)]
+    assert (quad.p, quad.q, quad.C) == (0, 1, 0b11)
+    assert (single.p, single.q, single.C) == (0, 0, 0b1000)
+    assert quad.masks is quad.masks and len(quad.systems) == 2 and single.systems == (single.masks,)
+
+
+def test_limit_refuses_a_factor_not_of_r():
+    with pytest.raises(StructuralError, match="is not a factor of R"):
+        limit(W42, pole_var(1, 6))
+    with pytest.raises(StructuralError, match="diagram not admissible"):
+        limit(WilsonLoopDiagram(7, (Propagator.of(1, 3), Propagator.of(2, 5))), pole_var(1, 3))
 
 
 def frozenset_limit_supports(W, f):
@@ -166,7 +192,7 @@ def test_limit_masks_match_the_frozenset_construction():
         for W in enumerate_diagrams(k, n):
             for f in r_poly_edge(W).factors:
                 want = frozenset_limit_supports(W, f)
-                assert limit_masks(W, f) == tuple(map(mask_of, want)), (W, f)
+                assert limit(W, f).masks == tuple(map(mask_of, want)), (W, f)
                 assert limit_supports(W, f) == want
 
 
@@ -280,12 +306,12 @@ def test_cover_counts(shape):
 def test_cover_counts_see_a_factor_that_misses_its_cover(monkeypatch):
     """Give x[1,3] of W42 the limit of x[2,5]: its own cover turns unhit and
     x[2,5]'s is hit twice, so the counts of test_cover_counts move."""
-    original = wlpoles.poles.limit_systems
+    original = wlpoles.poles.limit
 
     def moved(W, f):
         return original(W, pole_var(2, 5) if (W, f) == (W42, pole_var(1, 3)) else f)
 
-    monkeypatch.setattr(wlpoles.poles, "limit_systems", moved)
+    monkeypatch.setattr(wlpoles.poles, "limit", moved)
     assert cover_counts(2, 6) == (125, 7, 1)
 
 
@@ -298,8 +324,8 @@ def test_permutation_length_checks_the_codimension_rule(k, n):
     for W in enumerate_diagrams(k, n):
         assert top - affine_length(affine_permutation(necklace_masks(diagram_matroid(W))[0], n)) == 3 * k
         for f in r_poly_edge(W).factors:
-            limit = limit_matroid(n, limit_systems(W, f))
-            dim = top - affine_length(affine_permutation(necklace_masks(limit)[0], n))
+            M_f = limit_matroid(n, limit(W, f).systems)
+            dim = top - affine_length(affine_permutation(necklace_masks(M_f)[0], n))
             assert (dim == 3 * k - 1) == (factor_codim(W, f) == CODIM_ONE), (W, f, dim)
 
 

@@ -12,7 +12,7 @@ import wlpoles.positroids
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from wlpoles.errors import StructuralError
 from wlpoles.matroids import Matroid, TransversalMatroid, row_unions, set_of
-from wlpoles.poles import CODIM_ONE, _limit, factor_codim, limit_masks, r_poly_edge
+from wlpoles.poles import CODIM_ONE, factor_codim, limit, r_poly_edge
 from wlpoles.positroids import (
     affine_covers,
     affine_length,
@@ -210,8 +210,8 @@ def test_first_violation_matches_two_tables_on_every_limit_system():
                 assert first_violation(W.masks) is None  # admissible diagrams are minimal
                 tables = subfamily_tables(W.masks)
                 for f in r_poly_edge(W).factors:
-                    masks, q = _limit(W, f)
-                    assert masks == limit_masks(W, f)
+                    lim = limit(W, f)
+                    masks, q = lim.masks, lim.q
                     T = first_violation(masks)
                     assert T == two_table_first_violation(masks), (W, f)
                     # only the subfamilies through the changed row q are tested

@@ -13,8 +13,6 @@ from itertools import combinations
 
 import wlpoles.cancel
 from wlpoles.cancel import (
-    GroupMember,
-    _member_limit,
     _within,
     amplitude_report,
     partners,
@@ -22,8 +20,8 @@ from wlpoles.cancel import (
 )
 from wlpoles.diagrams import Propagator, WilsonLoopDiagram, enumerate_diagrams
 from wlpoles.exact import Polynomial, VarId, mat_rank, poly_det, specialize
-from wlpoles.matroids import mask_of
-from wlpoles.poles import limit_matroid, limit_rows, limit_supports, pole_quad, pole_var, quad_geometry, r_poly_edge
+from wlpoles.matroids import set_of
+from wlpoles.poles import limit, limit_matroid, pole_quad, pole_var, r_poly_edge
 
 from oracles import MatrixMatroid
 
@@ -182,11 +180,13 @@ def test_single_entry_limit_key_is_the_mask_system_of_its_limit_supports():
             for f in r_poly_edge(W).factors:
                 if f.kind != "var":
                     continue
-                key, supports, rows = _member_limit(GroupMember(W, f, "+1"))
-                assert supports == limit_supports(W, f)
-                assert key == (tuple(sorted(map(mask_of, supports))),)
+                lim = limit(W, f)
+                supports = tuple(map(set_of, lim.masks))
+                assert lim.systems == (lim.masks,)
+                assert lim.key == (tuple(sorted(lim.masks)),)
+                rows = lim.rows()
                 assert rows == generic_rows(supports)
-                M = limit_matroid(n, key)
+                M = limit_matroid(n, lim.key)
                 assert mat_rank(specialize(rows, n, {}, rng)) == min(M.basis_masks()).bit_count()
                 seen += 1
     assert seen > 1000
@@ -235,9 +235,9 @@ def test_within_returns_a_span_row_inside_the_support():
     assert not in_span(rows, {1: Polynomial.variable(VarId(9, 1))}, 6)
     # a quadratic's limit rows: the far row's eliminated display support
     W = WilsonLoopDiagram(6, (Propagator.of(1, 3), Propagator.of(1, 5)))
-    e, near, far, _, _ = quad_geometry(W, pole_quad(1, 2, 1, 2))
-    lam = limit_rows(W.supports(), 6, W.props.index(near) + 1, W.props.index(far) + 1, e)
-    for support in limit_supports(W, pole_quad(1, 2, 1, 2)):
+    lim = limit(W, pole_quad(1, 2, 1, 2))
+    lam = lim.rows()
+    for support in map(set_of, lim.masks):
         got = _within(lam, support)
         assert got and set(got) <= support and in_span(lam, got, 6)
 
@@ -269,9 +269,7 @@ def test_probe_matrix_agrees_with_per_query_evaluation():
         for f in r_poly_edge(W).factors:
             if f.kind != "quad":
                 continue
-            e, near, far, _, _ = quad_geometry(W, f)
-            rows = limit_rows(W.supports(), W.n, W.props.index(near) + 1, W.props.index(far) + 1, e)
-            M = MatrixMatroid(W.n, rows)
+            M = MatrixMatroid(W.n, limit(W, f).rows())
             matrices += 1
             for mask in range(1, 1 << W.n):
                 cols = [v + 1 for v in range(W.n) if mask >> v & 1]
