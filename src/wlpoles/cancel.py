@@ -3,16 +3,19 @@
 Every codimension-one factor of the pole polynomial of an admissible
 diagram is matched with the factors of one or two neighbouring diagrams,
 each one propagator swap away (:func:`_move`), that share the same
-boundary cell.  A single entry x[p, v] pairs with the diagram that swaps
-p for the one other propagator whose support contains V_p - {v}, or,
-when that propagator would cross the diagram, takes one fan step
-(:func:`_fan_base`) to the quadratic of a narrow triple; quadratics close
-into triples.  A narrow triple is a fan rotation on an edge carrying two
-propagators.  The match is certified
-four ways: equality of the limit matroids (bases and both necklaces), the
-recorded weights summing to zero, one exact row-space certificate that
-every member meets every other member's own limit point, and, for pairs,
-an exact sign identity under localization on twistor data.
+boundary cell.  One rule builds every partner (:func:`_partner_moves`):
+the factor vanishes where its far row keeps only its vanishing row, and
+each partner swaps in a propagator whose support contains that row.  A
+single entry has one such propagator and pairs; a wide quadratic has one
+and closes into a triple over it; a narrow quadratic has two, the fan
+rotation on an edge carrying two propagators.  A single entry whose
+partner would cross the diagram (2a) takes one fan step
+(:func:`_fan_base`) to the quadratic of its narrow triple.  The match is
+certified four ways: equality of the limit matroids (bases and both
+necklaces), the recorded weights summing to zero, one exact row-space
+certificate that every member meets every other member's own limit
+point, and, for pairs, an exact sign identity under localization on
+twistor data.
 Each member's limit is one :class:`poles.Limit`, built once per
 verification; its limit matroid is transversal, or the max-rank pair of
 a quadratic's two systems, one per distinct key in a group
@@ -40,12 +43,13 @@ from .diagrams import (
     cyc,
     enumerate_diagrams,
     fan_order,
+    valid_propagators,
     vertex_support,
 )
 from .errors import InconsistencyError, StructuralError
 from .exact import Polynomial, VarId, mat_rank, poly_det, replacement_dets, specialize
 from .jsonout import dumps
-from .matroids import set_of
+from .matroids import mask_of, set_of
 from .poles import (
     CODIM_GE2,
     PoleFactor,
@@ -55,7 +59,6 @@ from .poles import (
     limit_matroid,
     pole_quad,
     pole_var,
-    quad_geometry,
     r_poly_edge,
 )
 from .positroids import CellDescriptor, first_violation, necklace_entries, necklace_masks
@@ -135,39 +138,52 @@ def _localized_entry(W: WilsonLoopDiagram, Z: TwistorData, row: int, col: int) -
 # classification
 
 
-# The answer depends on (p, v, n) alone, at most 2n(n-3) keys per n, and
-# classify asks it for every single-entry factor.
 @functools.cache
-def _through(p: Propagator, v: int, n: int) -> tuple[Propagator, int]:
-    """The other propagator q whose support contains V_p minus v.
+def _support_masks(n: int) -> dict[Propagator, int]:
+    """Each valid propagator on [n] with its support mask, for the rule's scan."""
+    return {y: mask_of(vertex_support(y, n)) for y in valid_propagators(n)}
 
-    The three vertices left hold a whole edge t, which q must own, and
-    one vertex u on q's other edge, so q is (t, u-1) or (t, u) for each
-    such t: at most four candidates.  Exactly one of them besides p
-    must be a valid propagator.  Returns q and the vertex it adds to
-    V_p - {v}.
+
+# Keyed on what the rule reads: the factor's own propagators, its columns
+# and n.  575 keys serve the 39,770 factors at k <= 4, n <= 9.
+@functools.cache
+def _partner_moves(own: tuple[Propagator, ...], C: int, n: int) -> tuple[tuple, ...]:
+    """The partner rule: the :func:`_move` arguments (remove, add, on, col)
+    of every partner of a factor whose own propagators are ``own``, far
+    row first, and whose column mask is C.
+
+    The factor vanishes where its far row keeps only its vanishing row R,
+    the union of its own rows' supports less C (:attr:`poles.Limit.masks`
+    at q).  Its partner propagators are the valid propagators besides its
+    own whose support contains R: one for a single entry or a wide
+    quadratic, two for a narrow quadratic.  Each partner y replaces the
+    own row it crosses, or every own row, far first, if it crosses none.
+    The partner's factor is x[y, a] when y adds the vertex a to R, and
+    otherwise the quadratic of y and the kept row on their shared edge.
     """
-    support = vertex_support(p, n)
-    if v not in support:
-        raise StructuralError(f"vertex {v} is not in the support of {p}")
-    left = [x for x in support if x != v]
-    found = []
-    for t in left:
-        t1 = cyc(t + 1, n)
-        if t1 not in left:
-            continue
-        u = sum(left) - t - t1
-        before = cyc(u - 1, n)
-        for e, added in ((before, before), (u, cyc(u + 1, n))):
-            if 1 < (e - t) % n < n - 1:  # edges t and e share no vertex
-                q = Propagator.of(t, e)
-                if q != p:
-                    found.append((q, added))
-    if len(found) != 1:
-        raise InconsistencyError(
-            f"expected one propagator through the support of {p} without {v}, found {len(found)}"
-        )
-    return found[0]
+    masks = _support_masks(n)
+    R = (masks[own[0]] | masks[own[-1]]) & ~C
+    found = [y for y, m in masks.items() if m & R == R and y not in own]
+    if not found:
+        raise InconsistencyError(f"no propagator besides {own} contains {sorted(set_of(R))}")
+    moves = []
+    for x in own:
+        for y in found:
+            if crossing(y, x) or not any(crossing(y, z) for z in own):
+                added = masks[y] & ~R
+                if added:
+                    moves.append((x, y, (y,), added.bit_length()))
+                else:
+                    (kept,) = (z for z in own if z != x)
+                    moves.append((x, y, (kept, y), next(t for t in y if t in kept)))
+    return tuple(moves)
+
+
+def _moves(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[tuple, ...]:
+    """The partner rule's moves for a factor of R(W); raises if f is not one."""
+    lim = limit(W, f)
+    far = W.props[lim.q]
+    return _partner_moves((far,) if lim.p == lim.q else (far, W.props[lim.p]), lim.C, W.n)
 
 
 @functools.cache
@@ -175,27 +191,21 @@ def classify(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     """Case tag of a pole factor: 1/2 pairable single entries, 2a blocked
     single entries, 3/3b pairable quadratics, 1a/3a higher codimension.
 
-    A single entry x[p, v] vanishes on the boundary whose row p has
-    support V_p - {v}; its partner is the one other propagator q through
-    those three vertices (:func:`_through`).  The tag is 1a when q is
-    already in W, 1 when q shares an endpoint edge with p, and otherwise
-    2, or 2a when q would cross another propagator of W; a 2a entry
-    reaches its narrow triple by one fan step (:func:`_fan_base`).
-    Quadratics are narrow (3b) when the far endpoints are adjacent, and
-    otherwise wide: tag 3a when the chord joining the far endpoints is
-    already a propagator, else 3.
+    The tag reads the partner propagators of the rule
+    (:func:`_partner_moves`).  Two of them make a narrow quadratic, 3b.
+    One already in W makes 1a or 3a; otherwise a quadratic is 3, and a
+    single entry x[p, v] is 1 when its partner q shares an endpoint edge
+    with p, 2 when q crosses no other propagator of W, and 2a when it
+    does; a 2a entry reaches its narrow triple by one fan step
+    (:func:`_fan_base`).
     """
-    if f not in r_poly_edge(W).factor_set():
-        raise StructuralError(f"{f.label()} is not a factor of R({W})")
-    n = W.n
+    moves = _moves(W, f)
+    q = moves[0][1]
+    if moves[-1][1] != q:  # two partner propagators
+        return CASE3B
     if f.kind == "quad":
-        _, _, _, j, k = quad_geometry(W, f)
-        if (k - j) % n == 1:
-            return CASE3B
-        return CASE3A if Propagator.of(j, k) in W.props else CASE3
-
+        return CASE3A if q in W.props else CASE3
     p = W.props[f.rows[0] - 1]
-    q, _ = _through(p, f.cols[0], n)
     if q in W.props:
         return CASE1A
     if q.e1 in p or q.e2 in p:
@@ -298,25 +308,17 @@ def _move(W, remove, add, on, col) -> tuple[WilsonLoopDiagram, PoleFactor]:
 # it from its base.
 @functools.cache
 def _triple(W, f) -> tuple[tuple[WilsonLoopDiagram, PoleFactor], ...]:
-    """(base, lose-far, lose-near) entries of the triple of a quadratic.
+    """(base, lose-far, lose-near) entries of the triple of a quadratic:
+    the base and the partner rule's two moves (:func:`_partner_moves`).
 
     A wide quadratic swaps its far, then its near propagator for the
-    chord (j, k) between the far endpoints; the partners keep quadratics
-    on edges j and k.  A narrow one (k = j + 1) swaps them for the short
-    propagators (j, j+2) and (j-1, j+1), whose outer entries are the
+    chord between the far endpoints, and the partners keep quadratics on
+    the chord's edges.  A narrow one swaps them for the two short
+    propagators through its vanishing row, whose outer entries are the
     partners' factors: the two steps of the fan rotation out of its
     quadratic.
     """
-    n = W.n
-    _, near, far, j, k = quad_geometry(W, f)
-    if (k - j) % n == 1:
-        r = Propagator.of(j, cyc(j + 2, n))
-        s = Propagator.of(cyc(j - 1, n), cyc(j + 1, n))
-        return (W, f), _move(W, far, r, (r,), cyc(j + 3, n)), _move(W, near, s, (s,), cyc(j - 1, n))
-    r = Propagator.of(j, k)
-    if r in W.props:
-        raise StructuralError(f"{f.label()} on {W} has codimension >= 2")
-    return (W, f), _move(W, far, r, (near, r), j), _move(W, near, r, (r, far), k)
+    return ((W, f), *(_move(W, *m) for m in _moves(W, f)))
 
 
 # The weights of a triple's (base, lose-far, lose-near) entries, each with
@@ -337,15 +339,16 @@ def _triple_group(
 def _fan_base(W, f) -> tuple[WilsonLoopDiagram, PoleFactor]:
     """Quadratic entry of the narrow triple that holds a blocked (2a) entry.
 
-    The hop q of x[p, v] (:func:`_through`) crosses a propagator r that
-    shares an endpoint edge e with p, and p is an end of the fan on e.
+    The hop q of x[p, v], its one partner propagator
+    (:func:`_partner_moves`), crosses a propagator r that shares an
+    endpoint edge e with p, and p is an end of the fan on e.
     One fan step swaps p for the chord u from the far end x of p's
     neighbour r in that fan to p's middle vertex next to e; the base is
     the quadratic of r and u on edge x.
     """
     n = W.n
     p = W.props[f.rows[0] - 1]
-    q, _ = _through(p, f.cols[0], n)
+    ((_, q, _, _),) = _moves(W, f)
     e = next(t for b in W.props if b != p and crossing(q, b) for t in b if t in p)
     order = fan_order(W, e)
     r = order[1] if order[0] == p else order[-2]
@@ -357,13 +360,13 @@ def _fan_base(W, f) -> tuple[WilsonLoopDiagram, PoleFactor]:
 def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
     """Cancellation group of a codimension-one factor.
 
-    Tags 1 and 2 pair x[p, v] with the diagram that swaps p for the one
-    other propagator through V_p - {v}, whose own factor is the vertex
-    that propagator adds; the rule is symmetric, so the partner's
-    partner is the entry itself.  Tag 3 closes into a triple over the
-    chord between the far endpoints.  Tag 3b builds the narrow triple of
-    its quadratic, and tag 2a builds the same triple from the quadratic
-    one fan step away (:func:`_fan_base`).  Tags 1a and 3a have no group.
+    The members come from the partner rule (:func:`_partner_moves`).
+    Tags 1 and 2 pair x[p, v] with its one move, which swaps p for the
+    other propagator through V_p - {v} and takes the vertex it adds; the
+    rule is symmetric, so the partner's partner is the entry itself.
+    Tags 3 and 3b close into a triple with their two moves, and tag 2a
+    builds the narrow triple of the quadratic one fan step away
+    (:func:`_fan_base`).  Tags 1a and 3a have no group.
     """
     tag = classify(W, f)
     if tag in (CASE1A, CASE3A):
@@ -383,9 +386,8 @@ def partners(W: WilsonLoopDiagram, f: PoleFactor) -> CancellationGroup:
         base = _fan_base(W, f) if tag == CASE2A else (W, f)
         return _triple_group(_triple(*base), CASE3B, "narrow")
 
-    p = W.props[f.rows[0] - 1]
-    q, col = _through(p, f.cols[0], W.n)
-    W2, f2 = _move(W, p, q, (q,), col)
+    (move,) = _moves(W, f)
+    W2, f2 = _move(W, *move)
     tag2 = classify(W2, f2)
     if tag2 != tag:
         raise InconsistencyError(

@@ -364,12 +364,10 @@ def check_r_equalities(W: WilsonLoopDiagram) -> REqualityReport:
     )
 
 
-def quad_geometry(
-    W: WilsonLoopDiagram, f: PoleFactor
-) -> tuple[int, Propagator, Propagator, int, int]:
-    """Resolve a quad factor to (edge, near prop, far prop, near far-end,
-    far far-end).  Distances are measured cyclically from e+1, so the far
-    propagator is the one whose other endpoint is reached last."""
+def quad_geometry(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, Propagator, Propagator]:
+    """Resolve a quad factor to (edge, near prop, far prop).  Distances are
+    measured cyclically from e+1, so the far propagator is the one whose
+    other endpoint is reached last."""
     n = W.n
     c1, c2 = f.cols
     if c2 == cyc(c1 + 1, n):
@@ -378,16 +376,14 @@ def quad_geometry(
         e = c2
     else:
         raise StructuralError(f"quad columns {f.cols} are not adjacent mod {n}")
-    pa, pb = (W.props[r - 1] for r in f.rows)
-    ends = []
-    for p in (pa, pb):
+    near, far = (W.props[r - 1] for r in f.rows)
+    for p in (near, far):
         if e not in p:
             raise StructuralError(f"propagator {p} is not on edge {e}")
-        far = p.e2 if p.e1 == e else p.e1
-        ends.append(((far - e - 1) % n, far, p))
-    ends.sort()
-    (_, j_far, near), (_, k_far, far_p) = ends
-    return e, near, far_p, j_far, k_far
+    # p's far end is p.e1 + p.e2 - e
+    if (near.e1 + near.e2 - 2 * e - 1) % n > (far.e1 + far.e2 - 2 * e - 1) % n:
+        near, far = far, near
+    return e, near, far
 
 
 # Not frozen: a frozen __init__ costs 0.5 us more, and factor_codim builds
@@ -467,7 +463,7 @@ def limit(W: WilsonLoopDiagram, f: PoleFactor) -> Limit:
         raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
     if f.kind == "var":
         return Limit(W, f.rows[0] - 1, f.rows[0] - 1, 1 << (f.cols[0] - 1))
-    e, near, far, _, _ = quad_geometry(W, f)
+    e, near, far = quad_geometry(W, f)
     return Limit(W, W.props.index(near), W.props.index(far), 1 << (e - 1) | 1 << (cyc(e + 1, W.n) - 1))
 
 
@@ -499,9 +495,12 @@ def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     density is exactly the subset inequality.  So only the subfamilies
     through q are tested, on W's own tables.
     """
-    lim = limit(W, f)
-    known = (lim.q, *_diagram_tables(W))
-    return CODIM_ONE if first_violation(lim.masks, known) is None else CODIM_GE2
+    return CODIM_ONE if _minimal(limit(W, f)) else CODIM_GE2
+
+
+def _minimal(lim: Limit) -> bool:
+    """The rule of :func:`factor_codim` on a limit the caller holds."""
+    return first_violation(lim.masks, (lim.q, *_diagram_tables(lim.W))) is None
 
 
 @dataclass(frozen=True)
@@ -585,9 +584,10 @@ def cover_factors(
         g: [] for g in affine_covers(affine_permutation(necklace_masks(M)[0], W.n))
     }
     for f in r_poly_edge(W).factors:
-        if factor_codim(W, f) != CODIM_ONE:
+        lim = limit(W, f)
+        if not _minimal(lim):
             continue
-        M_f = limit_matroid(W.n, limit(W, f).systems)
+        M_f = limit_matroid(W.n, lim.systems)
         g = affine_permutation(necklace_masks(M_f)[0], W.n)
         if g not in hits:
             raise InconsistencyError(f"the limit of {f.label()} on {W} is not a cover of its cell")

@@ -87,7 +87,7 @@ class TwistorData:
                 raise StructuralError(f"non-positive minor at rows {combo}")
 
 
-def twistor_data(k: int, n: int, seed: int, zero_gauge: bool = False) -> TwistorData:
+def twistor_data(k: int, n: int, seed: int) -> TwistorData:
     """Seeded positive twistor data for diagrams in W(k, n).
 
     Rows are scaled Vandermonde vectors (1, t, ..., t^{k+3}) at
@@ -106,10 +106,7 @@ def twistor_data(k: int, n: int, seed: int, zero_gauge: bool = False) -> Twistor
     for N in numerators:
         a, b = rng.randint(1, 1000), rng.randint(1, 1000)
         rows.append(tuple(Fraction(a * N**j, b * 1000**j) for j in range(width)))
-    if zero_gauge:
-        gauge = tuple(Fraction(0) for _ in range(width))
-    else:
-        gauge = tuple(rand_fraction(rng) for _ in range(width))
+    gauge = tuple(rand_fraction(rng) for _ in range(width))
     data = TwistorData(rows=tuple(rows), gauge=gauge)
     data.check_positive()
     return data

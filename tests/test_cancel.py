@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,7 +72,8 @@ def test_localize_matches_determinants():
 
 
 def test_localize_zero_gauge_kills_vertex_entries():
-    Z = twistor_data(2, 6, seed=5, zero_gauge=True)
+    # the gauge is drawn last, so the rows are those of the seeded sample
+    Z = dataclasses.replace(twistor_data(2, 6, seed=5), gauge=(Fraction(0),) * 6)
     vals = localize(W42, Z)
     for v, x in vals.items():
         if v.col == 0:

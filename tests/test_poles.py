@@ -100,7 +100,7 @@ def test_quad_factor_rows_are_adjacent_in_edge_order():
         for f in r_poly_edge(W).factors:
             if f.kind != "quad":
                 continue
-            e, near, far, _, _ = quad_geometry(W, f)
+            e, near, far = quad_geometry(W, f)
             order = edge_order(W, e)
             ia, ib = order.index(near), order.index(far)
             assert abs(ia - ib) == 1
@@ -181,7 +181,7 @@ def frozenset_limit_supports(W, f):
     if f.kind == "var":
         rows[f.rows[0] - 1] -= {f.cols[0]}
     else:
-        e, near, far, _, _ = quad_geometry(W, f)
+        e, near, far = quad_geometry(W, f)
         far_row = W.props.index(far)
         rows[far_row] = (rows[W.props.index(near)] | rows[far_row]) - {e, e % W.n + 1}
     return tuple(rows)
@@ -315,6 +315,18 @@ def test_cover_counts_see_a_factor_that_misses_its_cover(monkeypatch):
     assert cover_counts(2, 6) == (125, 7, 1)
 
 
+def test_cover_factors_builds_one_limit_per_factor(monkeypatch):
+    """Over the (3, 8) diagrams ``cover_factors`` builds 3,080 limits, one
+    for each factor of R, whether it has codimension one or not."""
+    calls = []
+    original = wlpoles.poles.limit
+    monkeypatch.setattr(wlpoles.poles, "limit", lambda W, f: calls.append(f) or original(W, f))
+    diagrams = enumerate_diagrams(3, 8)
+    for W in diagrams:
+        cover_factors(W)
+    assert len(calls) == sum(len(r_poly_edge(W).factors) for W in diagrams) == 3080
+
+
 @pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2, 3) for n in range(k + 4, 9)])
 def test_permutation_length_checks_the_codimension_rule(k, n):
     """k(n-k) - length is 3k on every diagram cell, and 3k-1 on a factor's
@@ -424,7 +436,7 @@ PER_DIAGRAM_MEMOS = (
     wlpoles.poles._diagram_tables,
     wlpoles.poles._restricted_factor_keys,
     _pattern_factor_keys,
-    wlpoles.cancel._through,
+    wlpoles.cancel._partner_moves,
     classify,
     wlpoles.cancel._triple,
 )
