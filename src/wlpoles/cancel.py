@@ -181,12 +181,9 @@ def _partner_moves(own: tuple[Propagator, ...], C: int, n: int) -> tuple[tuple, 
 
 def _moves(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[tuple, ...]:
     """The partner rule's moves for a factor of R(W); raises if f is not one."""
-    lim = limit(W, f)
-    far = W.props[lim.q]
-    return _partner_moves((far,) if lim.p == lim.q else (far, W.props[lim.p]), lim.C, W.n)
+    return (W.memo.get(f) or _record(W, f))[1]
 
 
-@functools.cache
 def classify(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     """Case tag of a pole factor: 1/2 pairable single entries, 2a blocked
     single entries, 3/3b pairable quadratics, 1a/3a higher codimension.
@@ -197,27 +194,40 @@ def classify(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     single entry x[p, v] is 1 when its partner q shares an endpoint edge
     with p, 2 when q crosses no other propagator of W, and 2a when it
     does; a 2a entry reaches its narrow triple by one fan step
-    (:func:`_fan_base`).
+    (:func:`_fan_base`).  The tag and the moves are read from one
+    :func:`poles.limit` and kept together in ``W.memo``, keyed by f.
     """
-    moves = _moves(W, f)
+    return (W.memo.get(f) or _record(W, f))[0]
+
+
+def _record(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[str, tuple[tuple, ...]]:
+    """Compute and keep in ``W.memo`` the (tag, moves) of f, from its limit."""
+    lim = limit(W, f)
+    far = W.props[lim.q]
+    moves = _partner_moves((far,) if lim.p == lim.q else (far, W.props[lim.p]), lim.C, W.n)
     q = moves[0][1]
     if moves[-1][1] != q:  # two partner propagators
-        return CASE3B
-    if f.kind == "quad":
-        return CASE3A if q in W.props else CASE3
-    p = W.props[f.rows[0] - 1]
-    if q in W.props:
-        return CASE1A
-    if q.e1 in p or q.e2 in p:
-        return CASE1
-    return CASE2A if any(r != p and crossing(q, r) for r in W.props) else CASE2
+        tag = CASE3B
+    elif f.kind == "quad":
+        tag = CASE3A if q in W.props else CASE3
+    elif q in W.props:  # a single entry, whose row is its far row
+        tag = CASE1A
+    elif q.e1 in far or q.e2 in far:
+        tag = CASE1
+    else:
+        tag = CASE2A if any(r != far and crossing(q, r) for r in W.props) else CASE2
+    record = W.memo[f] = (tag, moves)
+    return record
 
 
 # ---------------------------------------------------------------------------
 # cancellation groups
 
 
-@dataclass(frozen=True)
+# Slotted, not frozen: a frozen __init__ of a group's eight fields costs
+# 1.3 us against 0.3 us (Python 3.11), and the (3,9) front half builds
+# 7,065 groups.  Nothing mutates a group; verification returns a new one.
+@dataclass(slots=True)
 class GroupMember:
     diagram: WilsonLoopDiagram
     factor: PoleFactor
@@ -234,7 +244,7 @@ class GroupMember:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CancellationGroup:
     """A set of (diagram, factor) entries sharing one boundary cell.
 
@@ -284,9 +294,9 @@ def _move(W, remove, add, on, col) -> tuple[WilsonLoopDiagram, PoleFactor]:
     replaced by ``add``, and its factor on the propagators ``on`` at
     column ``col`` (the single entry of one propagator, or the quadratic
     of two on edge ``col``).  The partner diagram is the shared one of
-    ``WilsonLoopDiagram.of``, so its R memo entry is found by its stored
-    hash.  The partner's R is its only admissibility check, and the
-    factor must be one of its factors.
+    ``WilsonLoopDiagram.of``, so its R, or its refusal, is already in its
+    memo when an earlier move reached it.  The partner's R is its only
+    admissibility check, and the factor must be one of its factors.
     """
     if add in W.props:
         raise InconsistencyError(f"partner {add} already present in {W}")
@@ -304,9 +314,6 @@ def _move(W, remove, add, on, col) -> tuple[WilsonLoopDiagram, PoleFactor]:
     return W2, f2
 
 
-# Every member of a triple builds it, and a wide triple's check rebuilds
-# it from its base.
-@functools.cache
 def _triple(W, f) -> tuple[tuple[WilsonLoopDiagram, PoleFactor], ...]:
     """(base, lose-far, lose-near) entries of the triple of a quadratic:
     the base and the partner rule's two moves (:func:`_partner_moves`).
@@ -317,8 +324,23 @@ def _triple(W, f) -> tuple[tuple[WilsonLoopDiagram, PoleFactor], ...]:
     propagators through its vanishing row, whose outer entries are the
     partners' factors: the two steps of the fan rotation out of its
     quadratic.
+
+    Every member of a triple asks for it, and a wide triple's check
+    rebuilds it from its base, so the entries are kept in ``W.memo``.  A
+    refused move is kept as its message, not as the exception, whose
+    traceback would hold its frames, and raised again on every call.
     """
-    return ((W, f), *(_move(W, *m) for m in _moves(W, f)))
+    key = ("triple", f)
+    entries = W.memo.get(key)
+    if entries is None:
+        try:
+            entries = ((W, f), *(_move(W, *m) for m in _moves(W, f)))
+        except InconsistencyError as exc:
+            entries = str(exc)
+        W.memo[key] = entries
+    if isinstance(entries, str):
+        raise InconsistencyError(entries)
+    return entries
 
 
 # The weights of a triple's (base, lose-far, lose-near) entries, each with
@@ -329,10 +351,9 @@ _TRIPLE_WEIGHTS = {"1": (1, -1), "e/(1-e)": (0, 1), "-1/(1-e)": (-1, 0)}
 def _triple_group(
     entries: tuple[tuple[WilsonLoopDiagram, PoleFactor], ...], case: str, kind: str
 ) -> CancellationGroup:
-    weights = {_entry_key(entry): w for entry, w in zip(entries, _TRIPLE_WEIGHTS)}
-    ordered = sorted(entries, key=_entry_key)
-    members = tuple(GroupMember(d, fac, "triple") for d, fac in ordered)
-    wfun = tuple((m.token(), weights[_entry_key((m.diagram, m.factor))]) for m in members)
+    ordered = sorted(zip(entries, _TRIPLE_WEIGHTS), key=lambda ew: _entry_key(ew[0]))
+    members = tuple(GroupMember(d, fac, "triple") for (d, fac), _ in ordered)
+    wfun = tuple((m.token(), w) for m, (_, w) in zip(members, ordered))
     return CancellationGroup(case=case, kind=kind, members=members, weight_functions=wfun)
 
 

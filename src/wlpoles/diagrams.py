@@ -12,7 +12,10 @@ through the density conditions rather than rejected up front.
 A diagram is built once per (n, props) through
 :meth:`WilsonLoopDiagram.of`, and it carries the facts every stage asks
 of it, computed once when it is built: its hash, its token and the bit
-masks of its row supports.
+masks of its row supports.  Its ``memo`` holds the facts later stages
+derive from it alone (its R or the refusal, its subfamily tables, each
+factor's case tag and partner moves, and each triple), so they are
+computed once per diagram object and die with it.
 """
 
 from __future__ import annotations
@@ -75,8 +78,10 @@ class WilsonLoopDiagram:
     out of comparison and repr: its hash, which is the hash of (n, props);
     its ``token``, the propagators as "1-3;2-5" ("0" for none); and
     ``masks``, the bit masks of its row supports, non-strict as
-    :func:`validate` reads them.  :meth:`of` shares one diagram per
-    (n, props).
+    :func:`validate` reads them.  ``memo``, also left out of comparison,
+    hash and repr, holds values later stages derive from this diagram
+    alone, filled on first use.  :meth:`of` shares one diagram per
+    (n, props), so every caller finds the same memo.
     """
 
     n: int
@@ -84,6 +89,7 @@ class WilsonLoopDiagram:
     _hash: int = field(init=False, repr=False, compare=False)
     token: str = field(init=False, repr=False, compare=False)
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -147,7 +153,7 @@ class WilsonLoopDiagram:
 
 
 # One object per (n, props) for the life of the process, so partner moves
-# land on the diagram enumeration and the R memo already hold.
+# land on the diagram enumeration already holds, with its memo filled.
 _interned = functools.cache(WilsonLoopDiagram)
 
 

@@ -164,23 +164,29 @@ def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
     contributes x_{q_1,e+1}, the s-1 quadratics on columns (e, e+1)
     for adjacent pairs, and x_{q_s,e}.  Factors are collected as a
     set; a repeat across edges would contradict square-freeness.
-    An inadmissible diagram raises; it is validated once per process.
+    An inadmissible diagram raises.  The value, or the refusal (None),
+    is kept in ``W.memo``, so each diagram object is validated once.
     """
-    R = _r_poly_edge(W)
+    memo = W.memo
+    if "R" not in memo:
+        memo["R"] = _r_poly_edge(W)
+    R = memo["R"]
     if R is None:
         raise StructuralError(f"diagram not admissible: {W}")
     return R
 
 
-# One entry per diagram asked, admissible or not (None), so each R and
-# each refusal is computed once per process.  An entry holds interned
-# factors only, about 0.9 KB.
-@functools.cache
 def _r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial | None:
+    """R of an admissible W, or None; it holds interned factors only,
+    about 0.9 KB."""
     if not validate(W).admissible:
         return None
     n = W.n
     row_of = {p: i for i, p in enumerate(W.props, start=1)}
+    fans: dict[int, list[Propagator]] = {}
+    for p in W.props:
+        fans.setdefault(p.e1, []).append(p)
+        fans.setdefault(p.e2, []).append(p)
     seen: dict[PoleFactor, int] = {}
 
     def add(f: PoleFactor, e: int) -> None:
@@ -190,10 +196,8 @@ def _r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial | None:
             )
         seen[f] = e
 
-    for e in range(1, n + 1):
-        order = fan_order(W, e)
-        if not order:
-            continue
+    for e in sorted(fans):
+        order = fans[e] if len(fans[e]) == 1 else fan_order(W, e)
         add(pole_var(row_of[order[0]], cyc(e + 1, n)), e)
         for qa, qb in zip(order, order[1:]):
             add(pole_quad(row_of[qa], row_of[qb], e, cyc(e + 1, n)), e)
@@ -459,7 +463,7 @@ class Limit:
 
 def limit(W: WilsonLoopDiagram, f: PoleFactor) -> Limit:
     """The :class:`Limit` of a factor of R(W); raises if f is not one."""
-    if f not in r_poly_edge(W).factor_set():
+    if f not in (W.memo.get("R") or r_poly_edge(W)).factor_set():
         raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
     if f.kind == "var":
         return Limit(W, f.rows[0] - 1, f.rows[0] - 1, 1 << (f.cols[0] - 1))
@@ -474,7 +478,6 @@ def limit_matroid(n: int, systems: Sequence[Sequence[int]]) -> Matroid:
     return parts[0] if len(parts) == 1 else MaxRankMatroid(*parts)
 
 
-@functools.cache
 def _diagram_tables(W: WilsonLoopDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
     unions, widest = subfamily_tables(W.masks)
     return tuple(unions), tuple(widest)
@@ -499,8 +502,13 @@ def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
 
 
 def _minimal(lim: Limit) -> bool:
-    """The rule of :func:`factor_codim` on a limit the caller holds."""
-    return first_violation(lim.masks, (lim.q, *_diagram_tables(lim.W))) is None
+    """The rule of :func:`factor_codim` on a limit the caller holds; W's
+    tables are kept in ``W.memo``."""
+    memo = lim.W.memo
+    tables = memo.get("tables")
+    if tables is None:
+        tables = memo["tables"] = _diagram_tables(lim.W)
+    return first_violation(lim.masks, (lim.q, *tables)) is None
 
 
 @dataclass(frozen=True)

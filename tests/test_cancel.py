@@ -1,5 +1,6 @@
 """Pole classification, partner groups, and the cancellation report."""
 
+import copy
 import dataclasses
 import json
 from fractions import Fraction
@@ -566,6 +567,19 @@ def test_malformed_pair_weight_fails_weight_sum_without_raising(weight):
 def test_verify_narrow_triple():
     g = verify_group(partners(W3B, pole_quad(1, 2, 1, 2)), trials=3, seed=1)
     assert g.verified and {n for n, _ in g.checks} == TRIPLE_CHECKS
+
+
+@pytest.mark.parametrize("entry", [
+    (W42, pole_var(1, 3)), (W42, pole_quad(1, 2, 1, 2)), (W3B, pole_quad(1, 2, 1, 2)),
+], ids=["pair", "wide", "narrow"])
+def test_groups_are_slotted_and_verification_leaves_them_unchanged(entry):
+    """Groups and members are slotted and not frozen, so nothing but
+    convention keeps them unchanged: verification returns a new group."""
+    g = partners(*entry)
+    assert not hasattr(g, "__dict__") and not any(hasattr(m, "__dict__") for m in g.members)
+    before = copy.deepcopy(g)
+    assert verify_group(g, trials=3, seed=1).verified
+    assert g == before and not g.verified and g.checks == ()
 
 
 # -- amplitude report -------------------------------------------------------

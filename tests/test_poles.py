@@ -127,12 +127,13 @@ def test_rejected_diagrams_are_validated_once(monkeypatch):
     calls = []
     check = wlpoles.poles.validate
     monkeypatch.setattr(wlpoles.poles, "validate", lambda W: calls.append(W) or check(W))
-    wlpoles.poles._r_poly_edge.cache_clear()
     crossing = [WilsonLoopDiagram(8, (Propagator.of(1, 3), Propagator.of(2, e))) for e in (4, 5, 6)]
     for W in crossing[:1] * 3 + crossing * 2:
         with pytest.raises(StructuralError, match="diagram not admissible"):
             r_poly_edge(W)
     assert calls == crossing
+    # the refusal is kept on the diagram object itself
+    assert all(W.memo == {"R": None} for W in crossing)
 
 
 def limit_supports(W, f):
@@ -428,23 +429,35 @@ def test_pattern_memo_holds_seven_patterns_at_k2():
     assert _pattern_factor_keys.cache_info().currsize == 7
 
 
-# Every memo keyed by a diagram, a (diagram, factor) pair or a pattern,
+# Every process-wide memo keyed by a diagram, a pattern or propagators,
 # each cleared together so that no fact is carried over from another test.
+# Clearing the interned diagrams leaves fresh objects with empty memos, so
+# the facts kept on a diagram start over with them.
 PER_DIAGRAM_MEMOS = (
     wlpoles.diagrams._interned,
-    wlpoles.poles._r_poly_edge,
-    wlpoles.poles._diagram_tables,
     wlpoles.poles._restricted_factor_keys,
     _pattern_factor_keys,
     wlpoles.cancel._partner_moves,
-    classify,
-    wlpoles.cancel._triple,
 )
 
 
 def _clear_memos():
     for memo in PER_DIAGRAM_MEMOS:
         memo.cache_clear()
+
+
+def _count_computations(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls per
+    argument tuple; returns the counter."""
+    counts: Counter = Counter()
+    compute = getattr(module, name)
+
+    def counted(*args):
+        counts[args] += 1
+        return compute(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 def _front_half(order):
@@ -454,7 +467,7 @@ def _front_half(order):
     for W in order:
         assert check_r_equalities(W).ok
         for f in r_poly_edge(W).factors:
-            tag = classify(W, f)
+            tag = wlpoles.cancel.classify(W, f)
             if factor_codim(W, f) != CODIM_ONE or tag in (CASE1A, CASE3A):
                 continue
             try:
@@ -464,14 +477,27 @@ def _front_half(order):
     return members
 
 
+def _built_diagrams(monkeypatch) -> list:
+    """Every diagram object built from now on, in order."""
+    built = []
+    post_init = WilsonLoopDiagram.__post_init__
+
+    def counted(W):
+        post_init(W)
+        built.append(W)
+
+    monkeypatch.setattr(WilsonLoopDiagram, "__post_init__", counted)
+    return built
+
+
 def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
     """The front-half calls over every (3, 8) diagram, partners included,
     compute R once per diagram, whatever the visit order.  A partner move
-    that leaves the admissible diagrams is an R miss that caches the
-    refusal, so each rejected diagram is validated once: 396 calls, for
-    300 admissible diagrams and 96 rejected partners.  After enumeration,
-    ``validate`` runs only inside R misses, so a partner's R is its only
-    admissibility check."""
+    that leaves the admissible diagrams computes R once and keeps the
+    refusal in the diagram's memo, so each rejected diagram is validated
+    once: 396 calls, for 300 admissible diagrams and 96 rejected partners.
+    After enumeration, ``validate`` runs only inside R computations, so a
+    partner's R is its only admissibility check."""
     _clear_memos()
     order = enumerate_diagrams(3, 8)
     random.Random(5).shuffle(order)
@@ -487,11 +513,11 @@ def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
 
     monkeypatch.setattr(wlpoles.diagrams, "validate", counted)
     monkeypatch.setattr(wlpoles.poles, "validate", counted)
+    computed = _count_computations(monkeypatch, wlpoles.poles, "_r_poly_edge")
     _front_half(order)
-    info = wlpoles.poles._r_poly_edge.cache_info()
     assert callers == Counter({"_r_poly_edge": 396})
     assert verdicts == Counter({True: 300, False: 96})
-    assert info.misses == info.currsize == 396
+    assert sum(computed.values()) == len(computed) == 396
 
 
 def test_front_half_builds_each_diagram_once_and_moves_land_on_enumerated_ones(monkeypatch):
@@ -499,39 +525,68 @@ def test_front_half_builds_each_diagram_once_and_moves_land_on_enumerated_ones(m
     the 825 admissible diagrams and 180 rejected partners.  A partner move
     that lands on an admissible diagram returns the very object
     enumeration made."""
-    built = Counter()
-    post_init = WilsonLoopDiagram.__post_init__
-
-    def counted(W):
-        post_init(W)
-        built[W] += 1
-
-    monkeypatch.setattr(WilsonLoopDiagram, "__post_init__", counted)
+    built = _built_diagrams(monkeypatch)
     _clear_memos()
     order = enumerate_diagrams(3, 9)
     enumerated = {W: W for W in order}
     random.Random(7).shuffle(order)
     members = _front_half(order)
     assert members and all(enumerated[m.diagram] is m.diagram for m in members)
-    assert sum(built.values()) == len(built) == 1005
+    assert len(built) == len(set(built)) == 1005
     assert len(built) - len(enumerated) == 180
 
 
-def test_front_half_computes_each_fact_once():
-    """Over the (3, 9) front-half calls no memo computes a key twice:
-    ``classify`` misses once per distinct (diagram, factor), 8,595 times
-    in 21,330 calls, and R once per diagram object, 1,005 times.  The one
-    repeat is a raise, which no memo keeps: the 360 partner gaps, each a
-    ``_triple`` call whose move lands on a refused diagram."""
+def test_front_half_computes_each_fact_once(monkeypatch):
+    """Over the (3, 9) front-half calls no fact is computed twice.  R is
+    computed once per diagram object, 1,005 times, and the subfamily
+    tables once per admissible diagram, 825 times.  Each factor's (tag,
+    moves) record is computed once per distinct (diagram, factor), 8,595
+    times for 21,330 ``classify`` calls.  Each partner move is made once,
+    8,550 of them: the 180 that land on a refused diagram end a triple,
+    which is kept as its message, so the 360 partner gaps make no move
+    twice.  No process-wide memo computes a key twice either."""
     _clear_memos()
-    _front_half(enumerate_diagrams(3, 9))
+    order = enumerate_diagrams(3, 9)
+    r_values = _count_computations(monkeypatch, wlpoles.poles, "_r_poly_edge")
+    tables = _count_computations(monkeypatch, wlpoles.poles, "_diagram_tables")
+    records = _count_computations(monkeypatch, wlpoles.cancel, "_record")
+    moves = _count_computations(monkeypatch, wlpoles.cancel, "_move")
+    tags = _count_computations(monkeypatch, wlpoles.cancel, "classify")
+    _front_half(order)
+    for name, counts, computed in (
+        ("R", r_values, 1005), ("tables", tables, 825), ("records", records, 8595), ("moves", moves, 8550),
+    ):
+        assert sum(counts.values()) == len(counts) == computed, name
+    assert sum(tags.values()) == 21330
     for memo in PER_DIAGRAM_MEMOS:
         info = memo.cache_info()
-        gaps = 360 if memo is wlpoles.cancel._triple else 0
-        assert info.misses - info.currsize == gaps, memo.__wrapped__.__qualname__
-    info = classify.cache_info()
-    assert (info.misses, info.hits + info.misses) == (8595, 21330)
-    assert wlpoles.poles._r_poly_edge.cache_info().misses == 1005
+        assert info.misses == info.currsize, memo.__wrapped__.__qualname__
+
+
+def test_front_half_takes_each_limit_twice(monkeypatch):
+    """``poles.limit`` runs 17,190 times over the (3, 9) front half, twice for
+    each of its 8,595 factors: once for the factor's (tag, moves) record,
+    which ``classify`` and the partner moves read, and once in
+    ``factor_codim``."""
+    _clear_memos()
+    order = enumerate_diagrams(3, 9)
+    counts = _count_computations(monkeypatch, wlpoles.poles, "limit")
+    monkeypatch.setattr(wlpoles.cancel, "limit", wlpoles.poles.limit)
+    _front_half(order)
+    assert sum(counts.values()) == 17190
+    assert len(counts) == 8595 and set(counts.values()) == {2}
+
+
+def test_diagram_memos_keep_refusals_as_text(monkeypatch):
+    """After the (3, 8) front half no value kept on any diagram is an
+    exception, whose traceback would keep its frames alive: a refused
+    triple is kept as its message, and a refused R as None."""
+    built = _built_diagrams(monkeypatch)
+    _clear_memos()
+    _front_half(enumerate_diagrams(3, 8))
+    values = [v for W in built for v in W.memo.values()]
+    assert any(isinstance(v, str) for v in values) and None in values
+    assert not any(isinstance(v, BaseException) for v in values)
 
 
 def test_factor_stores_the_hash_of_its_identity_and_its_label():
@@ -578,7 +633,7 @@ def test_r_polynomial_equality_ignores_factor_set():
 def test_r_value_fits_its_memo_budget():
     """A computed R at (3, 8), factor set built, holds interned factors only:
     about 0.9 KB, against about 3 KB with a fresh copy of every factor."""
-    compute = wlpoles.poles._r_poly_edge.__wrapped__
+    compute = wlpoles.poles._r_poly_edge
     diagrams = enumerate_diagrams(3, 8)
     for W in diagrams:  # the interned factors exist before measuring
         compute(W).factor_set()
