@@ -3,7 +3,8 @@
 Every codimension-one factor of the pole polynomial of an admissible
 diagram is matched with the factors of one or two neighbouring diagrams,
 each one propagator swap away (:func:`_move`), that share the same
-boundary cell.  One rule builds every partner (:func:`_partner_moves`):
+boundary cell.  One rule builds every partner
+(:func:`poles._partner_moves`, re-exported here with the case tags):
 the factor vanishes where its far row keeps only its vanishing row, and
 each partner swaps in a propagator whose support contains that row.  A
 single entry has one such propagator and pairs; a wide quadratic has one
@@ -16,7 +17,10 @@ necklaces), the recorded weights summing to zero, one exact row-space
 certificate that every member meets every other member's own limit
 point, and, for pairs, an exact sign identity under localization on
 twistor data.
-Each member's limit is one :class:`poles.Limit`, built once per
+A factor's case tag and partner moves are read from its record
+(:func:`poles.factor_record`), made once per diagram from one walk over
+its fans.  In verification each member's limit is one
+:class:`poles.Limit`, built by the guarded :func:`poles.limit` once per
 verification; its limit matroid is transversal, or the max-rank pair of
 a quadratic's two systems, one per distinct key in a group
 (:func:`poles.limit_matroid`).  A meet whose rows are a single entry's
@@ -43,18 +47,26 @@ from .diagrams import (
     cyc,
     enumerate_diagrams,
     fan_order,
-    valid_propagators,
     vertex_support,
 )
 from .errors import InconsistencyError, StructuralError
 from .exact import Polynomial, VarId, mat_rank, poly_det, replacement_dets, specialize
 from .jsonout import dumps
-from .matroids import mask_of, set_of
-from .poles import (
+from .matroids import set_of
+from .poles import (  # the case tags and the partner rule are re-exported
+    CASE1,
+    CASE1A,
+    CASE2,
+    CASE2A,
+    CASE3,
+    CASE3A,
+    CASE3B,
     CODIM_GE2,
     PoleFactor,
+    _partner_moves,
     check_r_equalities,
     factor_codim,
+    factor_record,
     limit,
     limit_matroid,
     pole_quad,
@@ -63,14 +75,6 @@ from .poles import (
 )
 from .positroids import CellDescriptor, first_violation, necklace_entries, necklace_masks
 from .sampling import TwistorData, seeded_rng, twistor_data
-
-CASE1 = "1"
-CASE1A = "1a"
-CASE2 = "2"
-CASE2A = "2a"
-CASE3 = "3"
-CASE3A = "3a"
-CASE3B = "3b"
 
 EXCLUDED_CODIM2 = "codim2"
 
@@ -138,86 +142,20 @@ def _localized_entry(W: WilsonLoopDiagram, Z: TwistorData, row: int, col: int) -
 # classification
 
 
-@functools.cache
-def _support_masks(n: int) -> dict[Propagator, int]:
-    """Each valid propagator on [n] with its support mask, for the rule's scan."""
-    return {y: mask_of(vertex_support(y, n)) for y in valid_propagators(n)}
-
-
-# Keyed on what the rule reads: the factor's own propagators, its columns
-# and n.  575 keys serve the 39,770 factors at k <= 4, n <= 9.
-@functools.cache
-def _partner_moves(own: tuple[Propagator, ...], C: int, n: int) -> tuple[tuple, ...]:
-    """The partner rule: the :func:`_move` arguments (remove, add, on, col)
-    of every partner of a factor whose own propagators are ``own``, far
-    row first, and whose column mask is C.
-
-    The factor vanishes where its far row keeps only its vanishing row R,
-    the union of its own rows' supports less C (:attr:`poles.Limit.masks`
-    at q).  Its partner propagators are the valid propagators besides its
-    own whose support contains R: one for a single entry or a wide
-    quadratic, two for a narrow quadratic.  Each partner y replaces the
-    own row it crosses, or every own row, far first, if it crosses none.
-    The partner's factor is x[y, a] when y adds the vertex a to R, and
-    otherwise the quadratic of y and the kept row on their shared edge.
-    """
-    masks = _support_masks(n)
-    R = (masks[own[0]] | masks[own[-1]]) & ~C
-    found = [y for y, m in masks.items() if m & R == R and y not in own]
-    if not found:
-        raise InconsistencyError(f"no propagator besides {own} contains {sorted(set_of(R))}")
-    moves = []
-    for x in own:
-        for y in found:
-            if crossing(y, x) or not any(crossing(y, z) for z in own):
-                added = masks[y] & ~R
-                if added:
-                    moves.append((x, y, (y,), added.bit_length()))
-                else:
-                    (kept,) = (z for z in own if z != x)
-                    moves.append((x, y, (kept, y), next(t for t in y if t in kept)))
-    return tuple(moves)
-
-
 def _moves(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[tuple, ...]:
     """The partner rule's moves for a factor of R(W); raises if f is not one."""
-    return (W.memo.get(f) or _record(W, f))[1]
+    return factor_record(W, f)[1]
 
 
 def classify(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     """Case tag of a pole factor: 1/2 pairable single entries, 2a blocked
     single entries, 3/3b pairable quadratics, 1a/3a higher codimension.
 
-    The tag reads the partner propagators of the rule
-    (:func:`_partner_moves`).  Two of them make a narrow quadratic, 3b.
-    One already in W makes 1a or 3a; otherwise a quadratic is 3, and a
-    single entry x[p, v] is 1 when its partner q shares an endpoint edge
-    with p, 2 when q crosses no other propagator of W, and 2a when it
-    does; a 2a entry reaches its narrow triple by one fan step
-    (:func:`_fan_base`).  The tag and the moves are read from one
-    :func:`poles.limit` and kept together in ``W.memo``, keyed by f.
+    The tag is read from the factor's record (:func:`poles.factor_record`),
+    whose rule reads the partner propagators of :func:`poles._partner_moves`;
+    a 2a entry reaches its narrow triple by one fan step (:func:`_fan_base`).
     """
-    return (W.memo.get(f) or _record(W, f))[0]
-
-
-def _record(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[str, tuple[tuple, ...]]:
-    """Compute and keep in ``W.memo`` the (tag, moves) of f, from its limit."""
-    lim = limit(W, f)
-    far = W.props[lim.q]
-    moves = _partner_moves((far,) if lim.p == lim.q else (far, W.props[lim.p]), lim.C, W.n)
-    q = moves[0][1]
-    if moves[-1][1] != q:  # two partner propagators
-        tag = CASE3B
-    elif f.kind == "quad":
-        tag = CASE3A if q in W.props else CASE3
-    elif q in W.props:  # a single entry, whose row is its far row
-        tag = CASE1A
-    elif q.e1 in far or q.e2 in far:
-        tag = CASE1
-    else:
-        tag = CASE2A if any(r != far and crossing(q, r) for r in W.props) else CASE2
-    record = W.memo[f] = (tag, moves)
-    return record
+    return factor_record(W, f)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ A diagram is built once per (n, props) through
 :meth:`WilsonLoopDiagram.of`, and it carries the facts every stage asks
 of it, computed once when it is built: its hash, its token and the bit
 masks of its row supports.  Its ``memo`` holds the facts later stages
-derive from it alone (its R or the refusal, its subfamily tables, each
-factor's case tag and partner moves, and each triple), so they are
-computed once per diagram object and die with it.
+derive from it alone (its admissibility verdict, its R or the refusal,
+its subfamily tables, each factor's record of case tag, partner moves
+and codimension, and each triple), so they are computed once per
+diagram object and die with it.
 """
 
 from __future__ import annotations
@@ -211,7 +212,13 @@ def validate(W: WilsonLoopDiagram) -> AdmissibilityVerdict:
 
 
 def is_admissible(W: WilsonLoopDiagram) -> bool:
-    return validate(W).admissible
+    """Whether :func:`validate` passes W; the verdict is kept in
+    ``W.memo``, so each diagram object is validated once."""
+    memo = W.memo
+    ok = memo.get("admissible")
+    if ok is None:
+        ok = memo["admissible"] = validate(W).admissible
+    return ok
 
 
 def edge_order(W: WilsonLoopDiagram, e: int) -> list[Propagator]:

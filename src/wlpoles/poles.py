@@ -10,48 +10,59 @@ columns, so minors are factored once per support pattern and the
 factors mapped back to the columns.  The module also classifies each
 factor's vanishing locus by codimension, with one rule for single
 entries and quadratics alike.  Where a factor vanishes is one value,
-its :class:`Limit` (:func:`limit`): its display set system, the set
-systems of its exact limit matroid and its symbolic rows are all read
-from it.  A factor has codimension one iff its display system is
-minimal (checked against the case tags on all 39,770 factors at
-k <= 4, n <= 9).  The pole-free boundaries of a cell are the covers of
-its bounded affine permutation that no factor's exact limit matroid
-(:func:`limit_matroid`) lands on (:func:`cover_factors`).
+its :class:`Limit`: its display set system, the set systems of its
+exact limit matroid and its symbolic rows are all read from it.  One
+walk over a diagram's fans, far to near (:func:`_fan_walk`), yields
+every factor of R with its limit; R is built from it, and so is each
+factor's record (:func:`factor_record`): its case tag, its partner
+moves (:func:`_partner_moves`) and its codimension, made in one pass
+per diagram and kept on the diagram.  :func:`limit` is the guarded
+entry for one factor.  A factor has codimension one iff its display
+system is minimal (checked against the case tags on all 39,770
+factors at k <= 4, n <= 9).  The pole-free boundaries of a cell are
+the covers of its bounded affine permutation that no factor's exact
+limit matroid (:func:`limit_matroid`) lands on (:func:`cover_factors`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .diagrams import (
     Propagator,
     WilsonLoopDiagram,
+    crossing,
     cyc,
     fan_order,
-    validate,
+    is_admissible,
+    valid_propagators,
+    vertex_support,
 )
 from .errors import InconsistencyError, StructuralError, UnstructuredResidualError
 from .exact import Polynomial, VarId, structured_factorize
 from .matrices import SymbolicMatrix
-from .matroids import Matroid, MaxRankMatroid, TransversalMatroid, set_of
+from .matroids import Matroid, MaxRankMatroid, TransversalMatroid, mask_of, set_of
 from .positroids import (
     affine_covers,
     affine_permutation,
-    diagram_matrix,
     diagram_matroid,
     first_violation,
-    necklace,
     necklace_masks,
-    necklace_minors,
     subfamily_tables,
 )
-from .sampling import rand_fraction, seeded_rng
 
 CODIM_ONE = "1"
 CODIM_GE2 = ">=2"
+
+CASE1 = "1"
+CASE1A = "1a"
+CASE2 = "2"
+CASE2A = "2a"
+CASE3 = "3"
+CASE3A = "3a"
+CASE3B = "3b"
 
 EDGE_FORMULA = "edge-formula"
 NECKLACE_RADICAL = "necklace-radical"
@@ -162,10 +173,12 @@ def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
 
     Edge e with incident propagators q_1..q_s (ordered far to near)
     contributes x_{q_1,e+1}, the s-1 quadratics on columns (e, e+1)
-    for adjacent pairs, and x_{q_s,e}.  Factors are collected as a
-    set; a repeat across edges would contradict square-freeness.
-    An inadmissible diagram raises.  The value, or the refusal (None),
-    is kept in ``W.memo``, so each diagram object is validated once.
+    for adjacent pairs, and x_{q_s,e} (:func:`_fan_walk`).  Factors are
+    collected as a set; a repeat across edges would contradict
+    square-freeness.  An inadmissible diagram raises.  The value, or the
+    refusal (None), is kept in ``W.memo``, as is the admissibility
+    verdict (:func:`diagrams.is_admissible`), so each diagram object is
+    validated once.
     """
     memo = W.memo
     if "R" not in memo:
@@ -179,32 +192,44 @@ def r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial:
 def _r_poly_edge(W: WilsonLoopDiagram) -> RPolynomial | None:
     """R of an admissible W, or None; it holds interned factors only,
     about 0.9 KB."""
-    if not validate(W).admissible:
+    if not is_admissible(W):
         return None
-    n = W.n
-    row_of = {p: i for i, p in enumerate(W.props, start=1)}
-    fans: dict[int, list[Propagator]] = {}
-    for p in W.props:
-        fans.setdefault(p.e1, []).append(p)
-        fans.setdefault(p.e2, []).append(p)
     seen: dict[PoleFactor, int] = {}
-
-    def add(f: PoleFactor, e: int) -> None:
+    for e, f, *_ in _fan_walk(W):
         if f in seen:
             raise InconsistencyError(
                 f"factor {f.label()} arises on edges {seen[f]} and {e}"
             )
         seen[f] = e
-
-    for e in sorted(fans):
-        order = fans[e] if len(fans[e]) == 1 else fan_order(W, e)
-        add(pole_var(row_of[order[0]], cyc(e + 1, n)), e)
-        for qa, qb in zip(order, order[1:]):
-            add(pole_quad(row_of[qa], row_of[qb], e, cyc(e + 1, n)), e)
-        add(pole_var(row_of[order[-1]], e), e)
-
     factors = tuple(sorted(seen, key=PoleFactor.sort_key))
     return RPolynomial(factors=factors, provenance=EDGE_FORMULA)
+
+
+def _fan_walk(W: WilsonLoopDiagram) -> Iterator[tuple[int, PoleFactor, int, int, int]]:
+    """Each factor of R(W), for an admissible W, as (e, f, p, q, C): the
+    edge it arises on, and the rows p and q, from 0, and the column mask C
+    of its :class:`Limit`.
+
+    Each fan is read far to near (:func:`diagrams.fan_order`).  On edge
+    e, x[first, e+1] is (r, r, {e+1}); the quadratic of an adjacent pair,
+    far a and near b, is (b, a, {e, e+1}); and x[last, e] is (r, r, {e}).
+    Tests hold it to :func:`limit`, which resolves a quadratic through
+    :func:`quad_geometry`, on every factor up to (3, 8).
+    """
+    n = W.n
+    row_of = {p: r for r, p in enumerate(W.props)}
+    fans: dict[int, list[Propagator]] = {}
+    for p in W.props:
+        fans.setdefault(p.e1, []).append(p)
+        fans.setdefault(p.e2, []).append(p)
+    for e in sorted(fans):
+        rows = [row_of[p] for p in (fans[e] if len(fans[e]) == 1 else fan_order(W, e))]
+        v = cyc(e + 1, n)
+        at_e, at_v = 1 << (e - 1), 1 << (v - 1)
+        yield e, pole_var(rows[0] + 1, v), rows[0], rows[0], at_v
+        for a, b in zip(rows, rows[1:]):
+            yield e, pole_quad(a + 1, b + 1, e, v), b, a, at_e | at_v
+        yield e, pole_var(rows[-1] + 1, e), rows[-1], rows[-1], at_e
 
 
 def _factor_keys(poly: Polynomial) -> frozenset[PoleFactor]:
@@ -390,14 +415,16 @@ def quad_geometry(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[int, Propagator,
     return e, near, far
 
 
-# Not frozen: a frozen __init__ costs 0.5 us more, and factor_codim builds
-# one Limit for each of the 8,595 factors at (3,9).
+# Not frozen: a frozen __init__ costs 0.5 us more, and the record pass
+# builds one Limit for each of the 8,595 factors at (3,9).
 @dataclass
 class Limit:
     """Where a factor of R(W) vanishes: rows p and q, from 0, and the
     column mask C.  A quadratic on edge e has its near row p, far row q
     and C = {e, e+1}; a single entry x[p, v] is the case q = p, C = {v}.
-    Built by :func:`limit`; ``masks``, ``systems`` and ``key`` are each
+    Built from the fan walk (:func:`_fan_walk`) by the record pass and
+    :func:`cover_factors`, or for one factor by :func:`limit`.
+    ``masks`` is set when it is built; ``systems`` and ``key`` are each
     computed once, on first use, and die with the value.
 
     ``masks`` is the display system: row q becomes (V_p u V_q) - C.
@@ -424,12 +451,12 @@ class Limit:
     p: int
     q: int
     C: int
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def masks(self) -> tuple[int, ...]:
+    def __post_init__(self) -> None:
         masks = list(self.W.masks)
         masks[self.q] = (masks[self.p] | masks[self.q]) & ~self.C
-        return tuple(masks)
+        self.masks = tuple(masks)
 
     @functools.cached_property
     def systems(self) -> tuple[tuple[int, ...], ...]:
@@ -462,7 +489,7 @@ class Limit:
 
 
 def limit(W: WilsonLoopDiagram, f: PoleFactor) -> Limit:
-    """The :class:`Limit` of a factor of R(W); raises if f is not one."""
+    """The :class:`Limit` of one factor of R(W); raises if f is not one."""
     if f not in (W.memo.get("R") or r_poly_edge(W)).factor_set():
         raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
     if f.kind == "var":
@@ -491,14 +518,15 @@ def factor_codim(W: WilsonLoopDiagram, f: PoleFactor) -> str:
     violation (:func:`positroids.first_violation`, the core of
     :func:`is_minimal`), else codimension >= 2.  On every factor
     at k <= 4, n <= 9 (39,770 of them) this gives codimension >= 2
-    exactly for the case tags 1a and 3a of ``cancel.classify``.
+    exactly for the case tags 1a and 3a of :func:`factor_record`.
 
     The limit system differs from W's masks only in row q, and W's masks
     are minimal: W is admissible, and for rows of four vertices local
     density is exactly the subset inequality.  So only the subfamilies
-    through q are tested, on W's own tables.
+    through q are tested, on W's own tables.  The value is read from the
+    factor's record.
     """
-    return CODIM_ONE if _minimal(limit(W, f)) else CODIM_GE2
+    return factor_record(W, f)[2]
 
 
 def _minimal(lim: Limit) -> bool:
@@ -511,64 +539,97 @@ def _minimal(lim: Limit) -> bool:
     return first_violation(lim.masks, (lim.q, *tables)) is None
 
 
-@dataclass(frozen=True)
-class BoundaryWitness:
-    factor: PoleFactor
-    assignment: tuple[tuple[VarId, Fraction], ...]
-    vanishing_shifts: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "factor": self.factor.to_json(),
-            "assignment": {
-                f"{vid.row},{vid.col}": str(val) for vid, val in self.assignment
-            },
-            "vanishing_shifts": list(self.vanishing_shifts),
-        }
+@functools.cache
+def _support_masks(n: int) -> dict[Propagator, int]:
+    """Each valid propagator on [n] with its support mask, for the rule's scan."""
+    return {y: mask_of(vertex_support(y, n)) for y in valid_propagators(n)}
 
 
-def vanish_on_boundary_witness(
-    W: WilsonLoopDiagram, f: PoleFactor, seed: int = 0
-) -> BoundaryWitness:
-    """Exact rational point where f vanishes and the point leaves the cell.
+# Keyed on what the rule reads: the factor's own propagators, its columns
+# and n.  575 keys serve the 39,770 factors at k <= 4, n <= 9.
+@functools.cache
+def _partner_moves(own: tuple[Propagator, ...], C: int, n: int) -> tuple[tuple, ...]:
+    """The partner rule: the ``cancel._move`` arguments (remove, add, on,
+    col) of every partner of a factor whose own propagators are ``own``,
+    far row first, and whose column mask is C.
 
-    All other entries are random positive rationals; the factor is
-    killed by zeroing its entry or imposing the 2x2 proportionality.
-    At least one necklace minor must vanish there, which certifies the
-    point sits on the cell boundary.
+    The factor vanishes where its far row keeps only its vanishing row R,
+    the union of its own rows' supports less C (:attr:`Limit.masks` at
+    q).  Its partner propagators are the valid propagators besides its
+    own whose support contains R: one for a single entry or a wide
+    quadratic, two for a narrow quadratic.  Each partner y replaces the
+    own row it crosses, or every own row, far first, if it crosses none.
+    The partner's factor is x[y, a] when y adds the vertex a to R, and
+    otherwise the quadratic of y and the kept row on their shared edge.
     """
-    if f not in r_poly_edge(W).factor_set():
-        raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
-    supports = W.supports()
-    rng = seeded_rng(seed, "witness", str(W), f.label())
-    assignment: dict[VarId, Fraction] = {}
-    for r0, V in enumerate(supports, start=1):
-        for c in sorted(V):
-            assignment[VarId(r0, c)] = rand_fraction(rng)
-    if f.kind == "var":
-        assignment[VarId(f.rows[0], f.cols[0])] = Fraction(0)
-    else:
-        ra, rb = f.rows
-        t = rand_fraction(rng)
-        for c in f.cols:
-            assignment[VarId(rb, c)] = t * assignment[VarId(ra, c)]
-    if f.polynomial().evaluate(assignment) != 0:
-        raise InconsistencyError(f"witness failed to kill {f.label()}")
+    masks = _support_masks(n)
+    R = (masks[own[0]] | masks[own[-1]]) & ~C
+    found = [y for y, m in masks.items() if m & R == R and y not in own]
+    if not found:
+        raise InconsistencyError(f"no propagator besides {own} contains {sorted(set_of(R))}")
+    moves = []
+    for x in own:
+        for y in found:
+            if crossing(y, x) or not any(crossing(y, z) for z in own):
+                added = masks[y] & ~R
+                if added:
+                    moves.append((x, y, (y,), added.bit_length()))
+                else:
+                    (kept,) = (z for z in own if z != x)
+                    moves.append((x, y, (kept, y), next(t for t in y if t in kept)))
+    return tuple(moves)
 
-    minors = necklace_minors(diagram_matrix(W), necklace(diagram_matroid(W)))
-    shifts = tuple(
-        a for a, m in enumerate(minors, start=1) if m.evaluate(assignment) == 0
-    )
-    if not shifts:
-        raise InconsistencyError(
-            f"no necklace minor vanishes at the {f.label()} witness of {W};"
-            " the factor would not lie on the cell boundary"
-        )
-    return BoundaryWitness(
-        factor=f,
-        assignment=tuple(sorted(assignment.items())),
-        vanishing_shifts=shifts,
-    )
+
+def factor_record(W: WilsonLoopDiagram, f: PoleFactor) -> tuple[str, tuple[tuple, ...], str]:
+    """The (case tag, partner moves, codimension) record of a factor of
+    R(W); raises if f is not one.
+
+    The first ask on a diagram makes the record of every factor of R(W)
+    in one pass (:func:`_record_pass`) and keeps each in ``W.memo``,
+    keyed by its factor, so ``cancel.classify``, the partner moves and
+    :func:`factor_codim` only read it.
+    """
+    record = W.memo.get(f)
+    if record is None:
+        if f not in r_poly_edge(W).factor_set():
+            raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
+        _record_pass(W)
+        record = W.memo[f]
+    return record
+
+
+def _record_pass(W: WilsonLoopDiagram) -> None:
+    """Keep in ``W.memo`` the record of every factor of R(W), each read
+    from its :class:`Limit` of one fan walk; no limit outlives the pass."""
+    memo = W.memo
+    for _, f, p, q, C in _fan_walk(W):
+        memo[f] = _record(f, Limit(W, p, q, C))
+
+
+def _record(f: PoleFactor, lim: Limit) -> tuple[str, tuple[tuple, ...], str]:
+    """The record of f from its limit.  Case tags: 1/2 pairable single
+    entries, 2a blocked single entries, 3/3b pairable quadratics, 1a/3a
+    higher codimension.  The tag reads the partner propagators of the
+    rule (:func:`_partner_moves`).  Two of them make a narrow quadratic,
+    3b.  One already in W makes 1a or 3a; otherwise a quadratic is 3, and
+    a single entry x[p, v] is 1 when its partner q shares an endpoint edge
+    with p, 2 when q crosses no other propagator of W, and 2a when it does.
+    """
+    W = lim.W
+    far = W.props[lim.q]
+    moves = _partner_moves((far,) if lim.p == lim.q else (far, W.props[lim.p]), lim.C, W.n)
+    q = moves[0][1]
+    if moves[-1][1] != q:  # two partner propagators
+        tag = CASE3B
+    elif f.kind == "quad":
+        tag = CASE3A if q in W.props else CASE3
+    elif q in W.props:  # a single entry, whose row is its far row
+        tag = CASE1A
+    elif q.e1 in far or q.e2 in far:
+        tag = CASE1
+    else:
+        tag = CASE2A if any(r != far and crossing(q, r) for r in W.props) else CASE2
+    return tag, moves, CODIM_ONE if _minimal(lim) else CODIM_GE2
 
 
 def cover_factors(
@@ -577,7 +638,8 @@ def cover_factors(
     """Each cover of W's cell (:func:`positroids.affine_covers` of its
     bounded affine permutation) with the codimension-one factors of R(W)
     whose exact limit matroid (:func:`limit_matroid`) has that
-    permutation; ``M`` is W's matroid when the caller holds it.
+    permutation, in R's order; ``M`` is W's matroid when the caller
+    holds it.  The limits come from one fan walk (:func:`_fan_walk`).
 
     A cover that no factor hits is a pole-free boundary: the zero set of
     an irreducible factor lies in the closure of the cell of its generic
@@ -591,8 +653,9 @@ def cover_factors(
     hits: dict[tuple[int, ...], list[PoleFactor]] = {
         g: [] for g in affine_covers(affine_permutation(necklace_masks(M)[0], W.n))
     }
-    for f in r_poly_edge(W).factors:
-        lim = limit(W, f)
+    r_poly_edge(W)  # the walk needs an admissible W; any other raises here
+    for _, f, p, q, C in _fan_walk(W):
+        lim = Limit(W, p, q, C)
         if not _minimal(lim):
             continue
         M_f = limit_matroid(W.n, lim.systems)
@@ -600,4 +663,4 @@ def cover_factors(
         if g not in hits:
             raise InconsistencyError(f"the limit of {f.label()} on {W} is not a cover of its cell")
         hits[g].append(f)
-    return {g: tuple(fs) for g, fs in hits.items()}
+    return {g: tuple(sorted(fs, key=PoleFactor.sort_key)) for g, fs in hits.items()}

@@ -6,15 +6,24 @@ as the max-rank pair of two transversal systems
 (``wlpoles.poles.Limit.systems``); this oracle ranks the symbolic limit
 rows (``wlpoles.poles.Limit.rows``) directly, so the tests can hold the
 rule to it.
+
+``vanish_on_boundary_witness`` finds an exact point where a factor of R
+vanishes and some necklace minor of the diagram's matrix does too, so
+the factor's zero set meets the cell's boundary.
 """
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
-from wlpoles.errors import StructuralError
+from wlpoles.diagrams import WilsonLoopDiagram
+from wlpoles.errors import InconsistencyError, StructuralError
 from wlpoles.exact import Polynomial, VarId, mat_rank, poly_det, specialize
 from wlpoles.matroids import Matroid
-from wlpoles.sampling import seeded_rng
+from wlpoles.poles import PoleFactor, r_poly_edge
+from wlpoles.positroids import diagram_matrix, diagram_matroid, necklace, necklace_minors
+from wlpoles.sampling import rand_fraction, seeded_rng
 
 
 class MatrixMatroid(Matroid):
@@ -68,3 +77,63 @@ class MatrixMatroid(Matroid):
                 if not poly_det(grid).is_zero():
                     return True
         return False
+
+
+@dataclass(frozen=True)
+class BoundaryWitness:
+    factor: PoleFactor
+    assignment: tuple[tuple[VarId, Fraction], ...]
+    vanishing_shifts: tuple[int, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "factor": self.factor.to_json(),
+            "assignment": {
+                f"{vid.row},{vid.col}": str(val) for vid, val in self.assignment
+            },
+            "vanishing_shifts": list(self.vanishing_shifts),
+        }
+
+
+def vanish_on_boundary_witness(
+    W: WilsonLoopDiagram, f: PoleFactor, seed: int = 0
+) -> BoundaryWitness:
+    """Exact rational point where f vanishes and the point leaves the cell.
+
+    All other entries are random positive rationals; the factor is
+    killed by zeroing its entry or imposing the 2x2 proportionality.
+    At least one necklace minor must vanish there, which certifies the
+    point sits on the cell boundary.
+    """
+    if f not in r_poly_edge(W).factor_set():
+        raise StructuralError(f"factor {f.label()} is not a factor of R({W})")
+    supports = W.supports()
+    rng = seeded_rng(seed, "witness", str(W), f.label())
+    assignment: dict[VarId, Fraction] = {}
+    for r0, V in enumerate(supports, start=1):
+        for c in sorted(V):
+            assignment[VarId(r0, c)] = rand_fraction(rng)
+    if f.kind == "var":
+        assignment[VarId(f.rows[0], f.cols[0])] = Fraction(0)
+    else:
+        ra, rb = f.rows
+        t = rand_fraction(rng)
+        for c in f.cols:
+            assignment[VarId(rb, c)] = t * assignment[VarId(ra, c)]
+    if f.polynomial().evaluate(assignment) != 0:
+        raise InconsistencyError(f"witness failed to kill {f.label()}")
+
+    minors = necklace_minors(diagram_matrix(W), necklace(diagram_matroid(W)))
+    shifts = tuple(
+        a for a, m in enumerate(minors, start=1) if m.evaluate(assignment) == 0
+    )
+    if not shifts:
+        raise InconsistencyError(
+            f"no necklace minor vanishes at the {f.label()} witness of {W};"
+            " the factor would not lie on the cell boundary"
+        )
+    return BoundaryWitness(
+        factor=f,
+        assignment=tuple(sorted(assignment.items())),
+        vanishing_shifts=shifts,
+    )

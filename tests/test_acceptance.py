@@ -34,10 +34,11 @@ from wlpoles.poles import (
     pole_var,
     r_poly_edge,
     r_poly_necklace,
-    vanish_on_boundary_witness,
 )
 from wlpoles.positroids import diagram_matroid, is_minimal, necklace
 from wlpoles.sampling import twistor_data
+
+from oracles import vanish_on_boundary_witness
 
 V1 = [{1, 2, 4, 5}, {1, 2, 3, 4}]
 V2 = [{1, 2, 4, 5}, {2, 3, 4, 5}]

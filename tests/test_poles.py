@@ -37,7 +37,6 @@ from wlpoles.poles import (
     r_poly_edge,
     r_poly_necklace,
     r_poly_reverse,
-    vanish_on_boundary_witness,
 )
 from wlpoles.positroids import (
     affine_covers,
@@ -49,6 +48,8 @@ from wlpoles.positroids import (
     necklace_masks,
     reverse_necklace,
 )
+
+from oracles import vanish_on_boundary_witness
 
 V1 = [{1, 2, 4, 5}, {1, 2, 3, 4}]
 V2 = [{1, 2, 4, 5}, {2, 3, 4, 5}]
@@ -125,15 +126,15 @@ def test_r_poly_rejects_inadmissible():
 
 def test_rejected_diagrams_are_validated_once(monkeypatch):
     calls = []
-    check = wlpoles.poles.validate
-    monkeypatch.setattr(wlpoles.poles, "validate", lambda W: calls.append(W) or check(W))
+    check = wlpoles.diagrams.validate
+    monkeypatch.setattr(wlpoles.diagrams, "validate", lambda W: calls.append(W) or check(W))
     crossing = [WilsonLoopDiagram(8, (Propagator.of(1, 3), Propagator.of(2, e))) for e in (4, 5, 6)]
     for W in crossing[:1] * 3 + crossing * 2:
         with pytest.raises(StructuralError, match="diagram not admissible"):
             r_poly_edge(W)
     assert calls == crossing
-    # the refusal is kept on the diagram object itself
-    assert all(W.memo == {"R": None} for W in crossing)
+    # the verdict and the refusal are kept on the diagram object itself
+    assert all(W.memo == {"admissible": False, "R": None} for W in crossing)
 
 
 def limit_supports(W, f):
@@ -305,27 +306,48 @@ def test_cover_counts(shape):
 
 
 def test_cover_counts_see_a_factor_that_misses_its_cover(monkeypatch):
-    """Give x[1,3] of W42 the limit of x[2,5]: its own cover turns unhit and
-    x[2,5]'s is hit twice, so the counts of test_cover_counts move."""
-    original = wlpoles.poles.limit
+    """Give x[1,3] of W42 the limit of x[2,5] in the fan walk: its own cover
+    turns unhit and x[2,5]'s is hit twice, so the counts of
+    test_cover_counts move."""
+    original = wlpoles.poles._fan_walk
 
-    def moved(W, f):
-        return original(W, pole_var(2, 5) if (W, f) == (W42, pole_var(1, 3)) else f)
+    def moved(W):
+        walk = list(original(W))
+        if W == W42:
+            (lim,) = (step[2:] for step in walk if step[1] == pole_var(2, 5))
+            walk = [(e, f, *lim) if f == pole_var(1, 3) else (e, f, *rest) for e, f, *rest in walk]
+        return iter(walk)
 
-    monkeypatch.setattr(wlpoles.poles, "limit", moved)
+    monkeypatch.setattr(wlpoles.poles, "_fan_walk", moved)
     assert cover_counts(2, 6) == (125, 7, 1)
+
+
+def _count_limits(monkeypatch) -> Counter:
+    """Count, from now on, the ``Limit`` values built, the calls of
+    ``poles.limit`` and the calls of ``poles.quad_geometry``."""
+    counts: Counter = Counter()
+    post_init = wlpoles.poles.Limit.__post_init__
+    monkeypatch.setattr(wlpoles.poles.Limit, "__post_init__", lambda lim: counts.update(["Limit"]) or post_init(lim))
+    for name in ("limit", "quad_geometry"):
+        function = getattr(wlpoles.poles, name)
+        monkeypatch.setattr(
+            wlpoles.poles, name, lambda *args, name=name, function=function: counts.update([name]) or function(*args)
+        )
+    monkeypatch.setattr(wlpoles.cancel, "limit", wlpoles.poles.limit)
+    return counts
 
 
 def test_cover_factors_builds_one_limit_per_factor(monkeypatch):
     """Over the (3, 8) diagrams ``cover_factors`` builds 3,080 limits, one
-    for each factor of R, whether it has codimension one or not."""
-    calls = []
-    original = wlpoles.poles.limit
-    monkeypatch.setattr(wlpoles.poles, "limit", lambda W, f: calls.append(f) or original(W, f))
+    for each factor of R, whether it has codimension one or not.  It reads
+    them from the fan walk, so neither the guarded ``limit`` nor
+    ``quad_geometry`` runs."""
     diagrams = enumerate_diagrams(3, 8)
+    counts = _count_limits(monkeypatch)
     for W in diagrams:
         cover_factors(W)
-    assert len(calls) == sum(len(r_poly_edge(W).factors) for W in diagrams) == 3080
+    assert counts == {"Limit": 3080}
+    assert sum(len(r_poly_edge(W).factors) for W in diagrams) == 3080
 
 
 @pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2, 3) for n in range(k + 4, 9)])
@@ -437,7 +459,7 @@ PER_DIAGRAM_MEMOS = (
     wlpoles.diagrams._interned,
     wlpoles.poles._restricted_factor_keys,
     _pattern_factor_keys,
-    wlpoles.cancel._partner_moves,
+    wlpoles.poles._partner_moves,
 )
 
 
@@ -492,31 +514,34 @@ def _built_diagrams(monkeypatch) -> list:
 
 def test_r_memo_computes_each_diagram_once_per_shape(monkeypatch):
     """The front-half calls over every (3, 8) diagram, partners included,
-    compute R once per diagram, whatever the visit order.  A partner move
-    that leaves the admissible diagrams computes R once and keeps the
-    refusal in the diagram's memo, so each rejected diagram is validated
-    once: 396 calls, for 300 admissible diagrams and 96 rejected partners.
-    After enumeration, ``validate`` runs only inside R computations, so a
-    partner's R is its only admissibility check."""
+    compute R once per diagram, whatever the visit order.  Each diagram
+    object is validated once: the admissibility verdict is kept in its
+    memo, so the 300 diagrams enumeration validated are not validated
+    again, and a partner move that leaves the admissible diagrams
+    validates its diagram once, inside its R computation, and keeps the
+    refusal: 396 calls, for 300 admissible diagrams and 96 rejected
+    partners."""
     _clear_memos()
-    order = enumerate_diagrams(3, 8)
-    random.Random(5).shuffle(order)
     check = wlpoles.diagrams.validate
     callers: Counter = Counter()
     verdicts: Counter = Counter()
+    validated: Counter = Counter()
 
     def counted(W):
-        callers[sys._getframe(1).f_code.co_name] += 1
+        callers[sys._getframe(2).f_code.co_name] += 1  # the caller of is_admissible
+        validated[id(W)] += 1
         verdict = check(W)
         verdicts[verdict.admissible] += 1
         return verdict
 
     monkeypatch.setattr(wlpoles.diagrams, "validate", counted)
-    monkeypatch.setattr(wlpoles.poles, "validate", counted)
+    order = enumerate_diagrams(3, 8)
+    random.Random(5).shuffle(order)
     computed = _count_computations(monkeypatch, wlpoles.poles, "_r_poly_edge")
     _front_half(order)
-    assert callers == Counter({"_r_poly_edge": 396})
+    assert callers == Counter({"extend": 300, "_r_poly_edge": 96})
     assert verdicts == Counter({True: 300, False: 96})
+    assert len(validated) == 396 and set(validated.values()) == {1}
     assert sum(computed.values()) == len(computed) == 396
 
 
@@ -539,22 +564,30 @@ def test_front_half_builds_each_diagram_once_and_moves_land_on_enumerated_ones(m
 def test_front_half_computes_each_fact_once(monkeypatch):
     """Over the (3, 9) front-half calls no fact is computed twice.  R is
     computed once per diagram object, 1,005 times, and the subfamily
-    tables once per admissible diagram, 825 times.  Each factor's (tag,
-    moves) record is computed once per distinct (diagram, factor), 8,595
-    times for 21,330 ``classify`` calls.  Each partner move is made once,
-    8,550 of them: the 180 that land on a refused diagram end a triple,
-    which is kept as its message, so the 360 partner gaps make no move
-    twice.  No process-wide memo computes a key twice either."""
+    tables once per admissible diagram, 825 times.  Each admissible
+    diagram makes one record pass, 825 of them, and each factor's (tag,
+    moves, codimension) record is made once per distinct (diagram,
+    factor), 8,595 times for 21,330 ``classify`` calls.  Each partner move
+    is made once, 8,550 of them: the 180 that land on a refused diagram
+    end a triple, which is kept as its message, so the 360 partner gaps
+    make no move twice.  No process-wide memo computes a key twice
+    either."""
     _clear_memos()
     order = enumerate_diagrams(3, 9)
     r_values = _count_computations(monkeypatch, wlpoles.poles, "_r_poly_edge")
     tables = _count_computations(monkeypatch, wlpoles.poles, "_diagram_tables")
-    records = _count_computations(monkeypatch, wlpoles.cancel, "_record")
+    passes = _count_computations(monkeypatch, wlpoles.poles, "_record_pass")
+    records: Counter = Counter()
+    record = wlpoles.poles._record
+    monkeypatch.setattr(
+        wlpoles.poles, "_record", lambda f, lim: records.update([(lim.W, f)]) or record(f, lim)
+    )
     moves = _count_computations(monkeypatch, wlpoles.cancel, "_move")
     tags = _count_computations(monkeypatch, wlpoles.cancel, "classify")
     _front_half(order)
     for name, counts, computed in (
-        ("R", r_values, 1005), ("tables", tables, 825), ("records", records, 8595), ("moves", moves, 8550),
+        ("R", r_values, 1005), ("tables", tables, 825), ("passes", passes, 825),
+        ("records", records, 8595), ("moves", moves, 8550),
     ):
         assert sum(counts.values()) == len(counts) == computed, name
     assert sum(tags.values()) == 21330
@@ -563,18 +596,34 @@ def test_front_half_computes_each_fact_once(monkeypatch):
         assert info.misses == info.currsize, memo.__wrapped__.__qualname__
 
 
-def test_front_half_takes_each_limit_twice(monkeypatch):
-    """``poles.limit`` runs 17,190 times over the (3, 9) front half, twice for
-    each of its 8,595 factors: once for the factor's (tag, moves) record,
-    which ``classify`` and the partner moves read, and once in
-    ``factor_codim``."""
+def test_front_half_builds_each_limit_once(monkeypatch):
+    """The (3, 9) front half builds 8,595 ``Limit`` values, one for each of
+    its 8,595 factors, all in the record passes.  They come from the fan
+    walk, so the guarded ``poles.limit`` and ``quad_geometry`` never run."""
     _clear_memos()
     order = enumerate_diagrams(3, 9)
-    counts = _count_computations(monkeypatch, wlpoles.poles, "limit")
-    monkeypatch.setattr(wlpoles.cancel, "limit", wlpoles.poles.limit)
+    counts = _count_limits(monkeypatch)
     _front_half(order)
-    assert sum(counts.values()) == 17190
-    assert len(counts) == 8595 and set(counts.values()) == {2}
+    assert counts == {"Limit": 8595}
+    assert sum(len(r_poly_edge(W).factors) for W in order) == 8595
+
+
+def test_fan_walk_matches_limit():
+    """On every factor up to (3, 8), the fan walk's (p, q, C) is that of
+    ``limit``, which resolves a quadratic through ``quad_geometry``; the
+    walk yields each factor of R once, on the edge its columns lie on."""
+    shapes = [(k, n) for k in range(1, 4) for n in range(k + 4, 9)]
+    seen = 0
+    for k, n in shapes:
+        for W in enumerate_diagrams(k, n):
+            walk = list(wlpoles.poles._fan_walk(W))
+            assert sorted((f for _, f, *_ in walk), key=PoleFactor.sort_key) == list(r_poly_edge(W).factors)
+            for e, f, p, q, C in walk:
+                lim = limit(W, f)
+                assert (p, q, C) == (lim.p, lim.q, lim.C), (W, f)
+                assert set(f.cols) <= {e, e % n + 1}
+                seen += 1
+    assert seen == 5555
 
 
 def test_diagram_memos_keep_refusals_as_text(monkeypatch):
